@@ -8,8 +8,10 @@ tier1: build vet test race byzantine soak-short bench-short fuzz-short bench-dif
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

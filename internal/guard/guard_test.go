@@ -316,7 +316,7 @@ func TestCheckMetadata(t *testing.T) {
 			wire.Metadata{Entries: []wire.MetaEntry{{Node: 1, Lambda: -1, P: 0.5, Timestamp: 1}}},
 			ReasonBadProphet},
 		{"far-future timestamp",
-			wire.Metadata{Entries: []wire.MetaEntry{entry(1, 1000 + c.MaxClockSkew + 1)}},
+			wire.Metadata{Entries: []wire.MetaEntry{entry(1, 1000+c.MaxClockSkew+1)}},
 			ReasonBadTimestamp},
 		{"NaN timestamp",
 			wire.Metadata{Entries: []wire.MetaEntry{entry(1, math.NaN())}},

@@ -433,6 +433,7 @@ func (s *session) checkMetadata(md wire.Metadata, session float64) error {
 // peer's own collection.
 func (s *session) absorbMetadata(h wire.Hello, md wire.Metadata, session float64) (model.PhotoList, error) {
 	var peerPhotos model.PhotoList
+	var buf []byte // record copies its payload, so one encoding buffer serves every entry
 	for i, e := range md.Entries {
 		entry := wire.MetaEntry{
 			Node: e.Node, Lambda: e.Lambda, P: e.P, Timestamp: e.Timestamp, Photos: e.Photos,
@@ -441,7 +442,8 @@ func (s *session) absorbMetadata(h wire.Hello, md wire.Metadata, session float64
 			peerPhotos = e.Photos
 			entry.Timestamp = session
 		}
-		if err := s.record(subMetaPut, wire.AppendMetaEntry(nil, entry)); err != nil {
+		buf = wire.AppendMetaEntry(buf[:0], entry)
+		if err := s.record(subMetaPut, buf); err != nil {
 			return nil, err
 		}
 	}

@@ -37,39 +37,25 @@ func payloadFor(id model.PhotoID, n int) []byte {
 		return nil
 	}
 	buf := make([]byte, n)
-	state := uint64(id)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
-	var word [8]byte
-	for i := 0; i < n; i += 8 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		binary.LittleEndian.PutUint64(word[:], state)
-		copy(buf[i:], word[:])
-	}
+	fillPayload(buf, id)
 	return buf
 }
 
-// chunkPlan splits a photo's payload into canonical wire chunks for the
-// session's negotiated chunk size. Data slices alias the payload buffer.
-func (s *session) chunkPlan(photo model.Photo) []wire.Chunk {
-	size := s.wc.ChunkSize()
-	payload := payloadFor(photo.ID, s.p.payload)
-	total := uint64(len(payload))
-	count := uint32(wire.ChunkCount(int64(total), size))
-	crc := wire.PayloadCRC(payload)
-	out := make([]wire.Chunk, 0, count)
-	for i := uint32(0); i < count; i++ {
-		lo := int(i) * size
-		hi := lo + size
-		if hi > len(payload) {
-			hi = len(payload)
+// fillPayload writes payloadFor(id, len(buf)) into buf.
+func fillPayload(buf []byte, id model.PhotoID) {
+	state := uint64(id)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
+	for i := 0; i < len(buf); i += 8 {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		if len(buf)-i >= 8 {
+			binary.LittleEndian.PutUint64(buf[i:], state)
+			continue
 		}
-		out = append(out, wire.Chunk{
-			Photo: photo, Index: i, Count: count, ChunkSize: uint32(size),
-			Total: total, PayloadCRC: crc, Data: payload[lo:hi],
-		})
+		for j := i; j < len(buf); j++ {
+			buf[j] = byte(state >> (8 * (j - i)))
+		}
 	}
-	return out
 }
 
 // sendOffer writes this node's resume offer for the photos it is about to
@@ -122,57 +108,62 @@ func (s *session) readOffer(requested []model.PhotoID) (map[model.PhotoID]wire.R
 // resume offer whose geometry matches lets the sender skip the chunks the
 // receiver already holds; the per-contact byte budget truncates the plan —
 // a photo cut mid-stream is not acked, but with resume on its prefix
-// survives at the receiver for the next contact.
+// survives at the receiver for the next contact. Every photo shares one
+// geometry, so the plan holds no payload: each photo's bytes are
+// synthesised into one reused buffer just before its chunks go out.
 func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.ResumeEntry) error {
 	p := s.p
 	budget := p.transfer.BudgetBytes
-	var plan []wire.Chunk
+	size, total := s.wc.ChunkSize(), max(p.payload, 0)
+	geom := wire.Chunk{Count: uint32(wire.ChunkCount(int64(total), size)), ChunkSize: uint32(size), Total: uint64(total)}
+	chunkLen := func(i uint32) int64 { return int64(min(total-int(i)*size, size)) }
+	all := make([]uint32, geom.Count)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	var buf []byte
+	fill := func(id model.PhotoID) (crc uint32) {
+		if buf == nil {
+			buf = make([]byte, total)
+		}
+		fillPayload(buf, id)
+		return wire.PayloadCRC(buf)
+	}
+	var plan []wire.Chunk // Data and PayloadCRC are filled at send time
 	var sent []model.PhotoID
 	var spent int64
-	truncated := false
+photos:
 	for _, id := range ids {
-		if truncated {
-			break
-		}
 		photo, ok := s.st.store.Get(id)
 		if !ok {
 			continue
 		}
-		chunks := s.chunkPlan(photo)
-		missing := chunks
-		if e, ok := offers[id]; ok && len(chunks) > 0 &&
-			e.ChunkSize == chunks[0].ChunkSize && e.Count == chunks[0].Count &&
-			e.Total == chunks[0].Total && e.PayloadCRC == chunks[0].PayloadCRC {
-			missing = missing[:0:0]
-			var saved int64
-			for _, idx := range transfer.MissingChunks(e) {
-				missing = append(missing, chunks[idx])
-			}
-			for _, c := range chunks {
-				saved += int64(len(c.Data))
-			}
-			for _, c := range missing {
-				saved -= int64(len(c.Data))
-			}
-			if skipped := len(chunks) - len(missing); skipped > 0 {
-				p.tChunksResumed.Add(int64(skipped))
-				p.cChunksResumed.Add(int64(skipped))
-				p.tResumedBytes.Add(saved)
+		missing := all
+		if e, ok := offers[id]; ok && e.ChunkSize == geom.ChunkSize && e.Count == geom.Count && e.Total == geom.Total {
+			if e.PayloadCRC == fill(id) {
+				missing = transfer.MissingChunks(e)
+				saved := int64(total)
+				for _, i := range missing {
+					saved -= chunkLen(i)
+				}
+				if skipped := len(all) - len(missing); skipped > 0 {
+					p.tChunksResumed.Add(int64(skipped))
+					p.cChunksResumed.Add(int64(skipped))
+					p.tResumedBytes.Add(saved)
+				}
 			}
 		}
-		complete := true
-		for _, c := range missing {
-			if budget > 0 && spent+int64(len(c.Data)) > budget {
-				complete = false
-				truncated = true
-				break
+		c := geom
+		c.Photo = photo
+		for _, i := range missing {
+			if budget > 0 && spent+chunkLen(i) > budget {
+				break photos // cut mid-photo: not acked
 			}
+			c.Index = i
 			plan = append(plan, c)
-			spent += int64(len(c.Data))
+			spent += chunkLen(i)
 		}
-		if complete {
-			sent = append(sent, id)
-		}
+		sent = append(sent, id)
 	}
 
 	// Pipelined send: the plan's length fixes the ack count, so the reader
@@ -211,7 +202,13 @@ func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.
 	}()
 	window := s.wc.Window()
 	inflight := 0
-	for _, c := range plan {
+	var crc uint32
+	for k, c := range plan {
+		if k == 0 || plan[k-1].Photo.ID != c.Photo.ID {
+			crc = fill(c.Photo.ID)
+		}
+		lo := int(c.Index) * size
+		c.Data, c.PayloadCRC = buf[lo:lo+int(chunkLen(c.Index))], crc
 		for inflight >= window {
 			if _, ok := <-acks; !ok {
 				if err := <-errc; err != nil {

@@ -1,6 +1,8 @@
 package peer
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net"
 	"sync"
@@ -389,5 +391,57 @@ func TestChaosMidChunkKillSweep(t *testing.T) {
 	}
 	if !sawReplay {
 		t.Fatal("no cut left durable fragments to recover — sweep misses the chunk stream")
+	}
+}
+
+// TestPayloadGolden pins the synthetic payload keystream to digests
+// recorded before the send path synthesised payloads in place: transfers
+// resume across holders only if every build produces bit-identical bytes.
+// Both payloadFor and fillPayload (into a dirty, reused buffer) must match.
+func TestPayloadGolden(t *testing.T) {
+	golden := []struct {
+		id     model.PhotoID
+		n      int
+		sha256 string
+	}{
+		{0x0, 1, "68aa2e2ee5dff96e3355e6c7ee373e3d6a4e17f75f9518d843709c0c9bc3e3d4"},
+		{0x0, 7, "4732b7c1cfead07db525190ce10269f41c103f24d062784fcd51f2722fea896e"},
+		{0x0, 8, "eecbed5563202c4e12ede0a85b4ab343c6be637c80e7c74c21a3710d093fed84"},
+		{0x0, 13, "6568c8aee61ea439d3e9548c565e42d303bb681ca8c09fff7047396cb0b05cbb"},
+		{0x0, 256 << 10, "250a5332a9caae697cdb22fa16a80ca307897933f260b82a303bbff2f6bad601"},
+		{0x1, 1, "13598656f10fa962b75f6c4587a61a067c14c1ef7dc9ca3703da76bae4c1beb1"},
+		{0x1, 7, "2dc73789f7235bdbe055670f1b5e621333b9b866e37d6321367c3b654cb9c969"},
+		{0x1, 8, "7d2da9f7a40df22a4a6b8f5e78fc4752ba4a70112147fe7cc51c2f6efe2c4a7e"},
+		{0x1, 13, "2f233b1d89b16e79e42424687283e2a64843b087a9b48c993d701a5d91ff53a3"},
+		{0x1, 256 << 10, "2413fba23cefae53b44df8a54d5a2fe87c0e3654076569391944c67c1e8d35ef"},
+		{0x2a, 1, "6922e93e3827642ce4b883c756b31abf80036649d3614bf5fcb3adda43b8ea32"},
+		{0x2a, 7, "b8c2359b52963d193a4a52eee5c9f8d8868eb9bbdb97ff44987174541d0a13a3"},
+		{0x2a, 8, "f279ebe29dc1dadf8a50376be750c2de25b90bc68e30e21b28e9e3a3f21705d9"},
+		{0x2a, 13, "ea2b6e4a4c9d1bc5489a1247d79b66fd9a92574a05d794eb6b36222ed2036dc5"},
+		{0x2a, 256 << 10, "dfe362698540e96c0ccd90577537e90e0b5f05036dd456706b036c33e6750304"},
+		{0xdeadbeefcafe, 1, "19753a9b7681b36104c1f79dfc8a6a1eccc088b8c7d2903a446d81694d2fb3a9"},
+		{0xdeadbeefcafe, 7, "442f944e74a95e83327031e074165c299b9e0a54cc9a669f915efb948c346124"},
+		{0xdeadbeefcafe, 8, "fb6d1f2fe360fa5ef954c0de802916fd52774a9f1b3659fe299dc1d3fdbdac06"},
+		{0xdeadbeefcafe, 13, "0193e08397abffa91617672e7a7a9adefb0f6564d4ae6d282dbd725be595af58"},
+		{0xdeadbeefcafe, 256 << 10, "c2fe84047529a1a80492236970096e2cfe0ba6ba9f19385ab7f1ff44c6a0f168"},
+	}
+	buf := make([]byte, 256<<10)
+	for _, g := range golden {
+		sum := sha256.Sum256(payloadFor(g.id, g.n))
+		if got := hex.EncodeToString(sum[:]); got != g.sha256 {
+			t.Errorf("payloadFor(%#x, %d) = %s, want %s", uint64(g.id), g.n, got, g.sha256)
+		}
+		dirty := buf[:g.n]
+		for i := range dirty {
+			dirty[i] = 0xFF
+		}
+		fillPayload(dirty, g.id)
+		sum = sha256.Sum256(dirty)
+		if got := hex.EncodeToString(sum[:]); got != g.sha256 {
+			t.Errorf("fillPayload(%#x, %d) = %s, want %s", uint64(g.id), g.n, got, g.sha256)
+		}
+	}
+	if payloadFor(1, 0) != nil || payloadFor(1, -5) != nil {
+		t.Error("non-positive payload length must yield no payload")
 	}
 }

@@ -22,7 +22,8 @@ func FuzzReassembly(f *testing.F) {
 	f.Add([]byte{8, 63, 1, 0, 0, 1, 0, 0, 2, 2, 0, 2, 0, 3})        // corrupt final chunk
 	f.Add([]byte{1, 16, 3, 0, 0, 5, 2, 1, 0, 5, 3, 0, 0, 5})        // mismatch restart + drop
 	f.Add([]byte{16, 0, 0, 0})                                      // empty payload, single chunk
-	f.Add([]byte{5, 32, 0, 6, 0, 5, 0, 4, 0, 3, 0, 2, 0, 1, 0, 0}) // reverse order
+	f.Add([]byte{15, 11, 0, 0, 0, 0, 1, 0, 3, 0, 1, 0, 2, 0, 0, 0}) // one 11-byte chunk: dup, corrupt, drop, conflict
+	f.Add([]byte{5, 32, 0, 6, 0, 5, 0, 4, 0, 3, 0, 2, 0, 1, 0, 0})  // reverse order
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

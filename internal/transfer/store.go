@@ -97,6 +97,11 @@ type AddResult struct {
 // lands, the assembled payload is verified against the declared CRC:
 // success returns Complete, failure drops the partial and returns
 // ErrChecksum.
+//
+// A single-chunk photo's partial keeps c.Data itself as its payload rather
+// than copying it: the caller hands over ownership (DecodeChunk already
+// returns an owned copy) and must not modify c.Data afterwards. Partials of
+// several chunks copy each chunk into their own buffer.
 func (s *Store) Add(c wire.Chunk) (AddResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -117,7 +122,11 @@ func (s *Store) Add(c wire.Chunk) (AddResult, error) {
 			total:     c.Total,
 			crc:       c.PayloadCRC,
 			have:      make([]uint64, (int(c.Count)+63)/64),
-			data:      make([]byte, c.Total),
+		}
+		if c.Count == 1 && uint64(len(c.Data)) == c.Total {
+			p.data = c.Data
+		} else {
+			p.data = make([]byte, c.Total)
 		}
 		s.parts[c.Photo.ID] = p
 		s.alloc += int64(c.Total)
@@ -131,7 +140,7 @@ func (s *Store) Add(c wire.Chunk) (AddResult, error) {
 	p.have[word] |= 1 << bit
 	p.haveCount++
 	off := uint64(c.Index) * uint64(c.ChunkSize)
-	copy(p.data[off:], c.Data)
+	copy(p.data[off:], c.Data) // no-op when the partial kept c.Data
 	p.received += int64(len(c.Data))
 	s.bytes += int64(len(c.Data))
 	s.chunksAdded++

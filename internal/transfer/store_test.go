@@ -216,3 +216,74 @@ func TestStoreEvictionRespectsCap(t *testing.T) {
 		t.Fatal("newest partial evicted")
 	}
 }
+
+// TestStoreSingleChunkKeepsData covers the one-chunk photo, whose partial
+// adopts the chunk's Data as its payload instead of copying it.
+func TestStoreSingleChunkKeepsData(t *testing.T) {
+	s := NewStore(0)
+	payload := []byte("a photo that fits one chunk")
+	chunks := chunksFor(testPhoto(9), payload, 64)
+	if len(chunks) != 1 {
+		t.Fatalf("test geometry drifted: %d chunks", len(chunks))
+	}
+	res, err := s.Add(chunks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Fresh || !res.Complete || res.Photo != testPhoto(9) || !bytes.Equal(res.Payload, payload) {
+		t.Fatalf("res = %+v", res)
+	}
+	if &res.Payload[0] != &chunks[0].Data[0] {
+		t.Fatal("single-chunk payload was copied instead of kept")
+	}
+	st := s.Stats()
+	if st.Partials != 1 || st.FragmentBytes != int64(len(payload)) || st.ChunksAdded != 1 || st.Completed != 1 || st.WastedBytes != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if res, _ := s.Add(chunks[0]); res.Fresh || res.Complete {
+		t.Fatalf("duplicate: res = %+v", res)
+	}
+
+	// Export after completion hands out an independent copy.
+	frags := s.Export()
+	if len(frags) != 1 || frags[0].Count != 1 || !bytes.Equal(frags[0].Bitmap, []byte{1}) || !bytes.Equal(frags[0].Data, payload) {
+		t.Fatalf("export = %+v", frags)
+	}
+	frags[0].Data[0] ^= 0xFF
+	if got, ok := s.Assemble(testPhoto(9).ID); !ok || !bytes.Equal(got.Payload, payload) {
+		t.Fatal("export aliased the stored payload")
+	}
+	r := NewStore(0)
+	frags[0].Data[0] ^= 0xFF
+	if err := r.Import(frags[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := r.Assemble(testPhoto(9).ID); !ok || !bytes.Equal(got.Payload, payload) {
+		t.Fatal("reimported single-chunk fragment does not assemble")
+	}
+
+	s.Drop(testPhoto(9).ID, false)
+	if st := s.Stats(); st.Partials != 0 || st.FragmentBytes != 0 || st.WastedBytes != 0 {
+		t.Fatalf("stats after clean drop = %+v", st)
+	}
+}
+
+func TestStoreSingleChunkChecksumMismatch(t *testing.T) {
+	s := NewStore(0)
+	payload := []byte("one chunk")
+	c := chunksFor(testPhoto(10), payload, 16)[0]
+	c.Data = []byte("XXX chunk") // corrupt slice under the true CRC
+	if _, err := s.Add(c); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("err = %v, want ErrChecksum", err)
+	}
+	if st := s.Stats(); st.Partials != 0 || st.FragmentBytes != 0 || st.Completed != 0 || st.WastedBytes != int64(len(payload)) {
+		t.Fatalf("stats = %+v", st)
+	}
+	if _, ok := s.Offer(testPhoto(10).ID); ok {
+		t.Fatal("poisoned partial survived")
+	}
+	// The next attempt starts clean and succeeds.
+	if res, err := s.Add(chunksFor(testPhoto(10), payload, 16)[0]); err != nil || !res.Complete {
+		t.Fatalf("retry: res = %+v, err = %v", res, err)
+	}
+}

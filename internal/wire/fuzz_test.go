@@ -80,7 +80,8 @@ func FuzzRead(f *testing.F) {
 
 // FuzzDecodeMessage fuzzes the frame-free body decoder directly — the path
 // the journal's replay shares with Read. No (type, body) pair may panic,
-// and any body that decodes must survive a frame round-trip unchanged.
+// any decoded message must own its memory, and any body that decodes must
+// survive a frame round-trip unchanged.
 func FuzzDecodeMessage(f *testing.F) {
 	// Seed with the body of every valid message type (frames minus the
 	// 5-byte header and 4-byte checksum trailer).
@@ -109,25 +110,25 @@ func FuzzDecodeMessage(f *testing.F) {
 	// Hostile shapes: unknown type, truncated counts, absurd lengths.
 	f.Add(byte(0), []byte{})
 	f.Add(byte(9), []byte{1, 2, 3})
-	f.Add(byte(MsgMetadata), []byte{0xFF, 0xFF, 0xFF, 0xFF})          // huge entry count
-	f.Add(byte(MsgPhotoRequest), []byte{0xFF, 0xFF, 0xFF, 0x7F})      // huge ID count
-	f.Add(byte(MsgPhotoData), bytes.Repeat([]byte{0xFF}, 16))         // garbage photo
-	f.Add(byte(MsgBye), []byte{1})                                    // bye with body
-	f.Add(byte(MsgHello), bytes.Repeat([]byte{0x41}, 35))             // one byte short
+	f.Add(byte(MsgMetadata), []byte{0xFF, 0xFF, 0xFF, 0xFF})             // huge entry count
+	f.Add(byte(MsgPhotoRequest), []byte{0xFF, 0xFF, 0xFF, 0x7F})         // huge ID count
+	f.Add(byte(MsgPhotoData), bytes.Repeat([]byte{0xFF}, 16))            // garbage photo
+	f.Add(byte(MsgBye), []byte{1})                                       // bye with body
+	f.Add(byte(MsgHello), bytes.Repeat([]byte{0x41}, 35))                // one byte short
 	f.Add(byte(MsgMetadata), []byte{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // truncated entry
 	// Hostile length claims: counts and geometry chosen to bait an
 	// allocator that trusts the header, with bodies far too short to ever
 	// satisfy them.
-	f.Add(byte(MsgResumeOffer), []byte{0xFF, 0xFF, 0xFF, 0xFF})            // huge offer count, empty body
+	f.Add(byte(MsgResumeOffer), []byte{0xFF, 0xFF, 0xFF, 0xFF})                     // huge offer count, empty body
 	f.Add(byte(MsgResumeOffer), append([]byte{0x10, 0, 0, 0}, make([]byte, 29)...)) // claims 16, holds 1
-	f.Add(byte(MsgAck), []byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3})           // huge ack count, 3 bytes
-	f.Add(byte(MsgChunk), func() []byte {                                  // absurd Total/Count geometry
+	f.Add(byte(MsgAck), []byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3})                    // huge ack count, 3 bytes
+	f.Add(byte(MsgChunk), func() []byte {                                           // absurd Total/Count geometry
 		b := samplePhoto(7, 0).AppendBinary(nil)
-		b = appendU32(b, 0)                   // index
-		b = appendU32(b, 0xFFFFFFFF)          // count far past MaxChunks
-		b = appendU32(b, 1)                   // chunk size
-		b = appendU64(b, 1<<62)               // total
-		return appendU32(b, 0)                // crc
+		b = appendU32(b, 0)          // index
+		b = appendU32(b, 0xFFFFFFFF) // count far past MaxChunks
+		b = appendU32(b, 1)          // chunk size
+		b = appendU64(b, 1<<62)      // total
+		return appendU32(b, 0)       // crc
 	}())
 	f.Add(byte(MsgMetadata), func() []byte { // entry whose photo list claims 2^31 photos
 		b := appendU32(nil, 1)
@@ -139,12 +140,22 @@ func FuzzDecodeMessage(f *testing.F) {
 	}())
 
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
+		body = append([]byte(nil), body...) // overwritten below
 		msg, err := DecodeBody(MsgType(typ), body)
 		if err != nil {
 			return
 		}
 		if got := byte(msg.Type()); got != typ {
 			t.Fatalf("decoded type %d from input type %d", got, typ)
+		}
+		// No decoded message may alias its input: the frame pool recycles
+		// Read's buffer as soon as the decoder returns.
+		want := msg.appendBody(nil)
+		for i := range body {
+			body[i] = ^body[i]
+		}
+		if again := msg.appendBody(nil); !bytes.Equal(again, want) {
+			t.Fatalf("decoded %v changed when its input was overwritten", msg.Type())
 		}
 		// Round-trip: re-encode as a frame, re-read, re-decode to the same
 		// body bytes.

@@ -12,7 +12,8 @@
 // radio links are lossy); Read rejects mismatches with ErrChecksum before
 // any decoding happens. The declared body length is bounds-checked against
 // MaxFrame before any allocation, so a hostile or corrupt length field
-// cannot trigger huge allocations.
+// cannot trigger huge allocations. Frame buffers are pooled; decoded
+// messages never alias them.
 //
 // Bodies are fixed layouts built from the model package's binary photo
 // codec. The protocol is symmetric and runs in rounds; see package peer for
@@ -26,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 
 	"photodtn/internal/model"
 )
@@ -695,12 +697,47 @@ func decodeResumeOffer(b []byte) (ResumeOffer, error) {
 	return out, nil
 }
 
+// maxPooledFrame caps the frame buffers Read and Write keep for reuse: a
+// rare huge frame (a hostile length claim, an outsized metadata message)
+// is served by a one-off allocation instead of pinning its buffer in the
+// pool.
+const maxPooledFrame = 4 << 20
+
+// framePool recycles frame buffers across Read and Write calls. Reuse is
+// safe because Write's io.Writer must not retain the frame and every
+// decoder copies out what it returns (pinned by TestDecodeDoesNotAlias).
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// borrowFrame returns a buffer of length n, pooled when n fits the cap.
+func borrowFrame(n int) *[]byte {
+	if n > maxPooledFrame {
+		b := make([]byte, n)
+		return &b
+	}
+	bp := framePool.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+// releaseFrame returns a borrowed buffer to the pool unless it outgrew the
+// cap.
+func releaseFrame(bp *[]byte) {
+	if cap(*bp) <= maxPooledFrame {
+		framePool.Put(bp)
+	}
+}
+
 // Write serialises one message as a frame (with its checksum trailer).
 // Header, body, and trailer go out in a single Write call: one syscall per
 // frame, and no zero-length body writes (which block forever on fully
 // synchronous transports like net.Pipe).
 func Write(w io.Writer, msg Message) error {
-	frame := msg.appendBody(make([]byte, 5))
+	bp := borrowFrame(5)
+	defer releaseFrame(bp)
+	frame := msg.appendBody(*bp)
 	body := len(frame) - 5
 	if body > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, body)
@@ -708,6 +745,7 @@ func Write(w io.Writer, msg Message) error {
 	binary.LittleEndian.PutUint32(frame[:4], uint32(body))
 	frame[4] = byte(msg.Type())
 	frame = appendU32(frame, crc32.Checksum(frame[4:], crcTable))
+	*bp = frame
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
@@ -725,7 +763,9 @@ func Read(r io.Reader) (Message, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	buf := make([]byte, n+4) // body + checksum trailer
+	bp := borrowFrame(int(n) + 4) // body + checksum trailer
+	defer releaseFrame(bp)
+	buf := *bp
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fmt.Errorf("wire: read body: %w", err)
 	}

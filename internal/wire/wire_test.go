@@ -85,10 +85,10 @@ func TestChunkRoundTrip(t *testing.T) {
 
 func TestDecodeChunkRejectsBadGeometry(t *testing.T) {
 	bad := []Chunk{
-		{Photo: samplePhoto(1, 0), Index: 0, Count: 2, ChunkSize: 4, Total: 11, Data: []byte{1, 2, 3, 4}},  // count not canonical
-		{Photo: samplePhoto(1, 0), Index: 3, Count: 3, ChunkSize: 4, Total: 11, Data: []byte{1, 2, 3}},     // index out of range
-		{Photo: samplePhoto(1, 0), Index: 0, Count: 3, ChunkSize: 4, Total: 11, Data: []byte{1, 2}},        // short non-final chunk
-		{Photo: samplePhoto(1, 0), Index: 0, Count: 1, ChunkSize: 0, Total: 0, Data: nil},                  // zero chunk size
+		{Photo: samplePhoto(1, 0), Index: 0, Count: 2, ChunkSize: 4, Total: 11, Data: []byte{1, 2, 3, 4}}, // count not canonical
+		{Photo: samplePhoto(1, 0), Index: 3, Count: 3, ChunkSize: 4, Total: 11, Data: []byte{1, 2, 3}},    // index out of range
+		{Photo: samplePhoto(1, 0), Index: 0, Count: 3, ChunkSize: 4, Total: 11, Data: []byte{1, 2}},       // short non-final chunk
+		{Photo: samplePhoto(1, 0), Index: 0, Count: 1, ChunkSize: 0, Total: 0, Data: nil},                 // zero chunk size
 	}
 	for i, c := range bad {
 		body := AppendChunk(nil, c)
