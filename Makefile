@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race race-wire race-guard soak-short chaos byzantine bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
+.PHONY: tier1 build vet test race race-repeat soak-short chaos byzantine bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
 
 # tier1 is the merge gate: everything must pass before a change lands.
 tier1: build vet test race byzantine soak-short bench-short fuzz-short bench-diff
@@ -23,14 +23,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-wire is the focused repeat over the chunked-transfer stack: the wire
-# codec/handshake and the reassembly store, plus the peer transfer suites
-# (pipelined sender, mid-chunk kill sweeps). -count=2 gives the pipelined
-# ack-reader and the cross-contact fragment store a second chance to trip
-# the detector under different schedules.
-race-wire:
-	$(GO) test -race -count=2 ./internal/wire/ ./internal/transfer/
-	$(GO) test -race -count=1 -run 'Transfer|Chunk|Resume' ./internal/peer/
+# race-repeat is the focused -count=2 race pass over the packages with the
+# most scheduling-dependent concurrency: incremental selection and the
+# coverage cache (session reuse, parallel gain scans), the live peer and
+# its session FSM (commit races, admission, the pipelined chunk-ack
+# reader), the wire codec and reassembly store, and the guard's per-peer
+# accounting. The second run gives each interleaving another chance to trip
+# the detector. CI runs it as one job.
+race-repeat:
+	$(GO) test -race -count=2 ./internal/selection/ ./internal/coverage/ ./internal/peer/... ./internal/wire/ ./internal/transfer/ ./internal/guard/
 
 # byzantine is the adversarial-peer property harness: every ByzantinePeer
 # strategy (replay, flood, absurd claims, phase desync, poisoned metadata,
@@ -40,15 +41,6 @@ race-wire:
 byzantine:
 	$(GO) test -race -count=1 -run 'Byzantine|Guard|Quarantine' ./internal/peer/
 	$(GO) test -race -count=1 ./internal/guard/ ./internal/peer/session/
-
-# race-guard is the focused repeat over the guard and adversarial suites:
-# the guard's per-peer accounting is its own lock domain crossed by every
-# concurrent contact, so -count=2 gives scheduling-dependent interleavings
-# (admission vs. report vs. quarantine restore) a second chance to trip the
-# detector.
-race-guard:
-	$(GO) test -race -count=2 ./internal/guard/ ./internal/peer/session/
-	$(GO) test -race -count=2 -run 'Byzantine|Guard|Quarantine' ./internal/peer/
 
 # soak-short is the concurrent-serving soak: one serving peer versus N
 # simultaneous dialers under the race detector — admission limiting, no

@@ -88,9 +88,12 @@ func FuzzArcSet(f *testing.F) {
 					if p.Width <= 0 {
 						t.Fatalf("AppendUncovered(%v): empty piece %v", a, p)
 					}
+					// Containment in the kernel's own arithmetic: it
+					// computes Width = hi - Start exactly, and recomputing
+					// Start+Width can round one ulp past hi.
 					inside := false
 					for _, iv := range avs[:nav] {
-						if iv.lo <= p.Start && p.Start+p.Width <= iv.hi {
+						if iv.lo <= p.Start && p.Width <= iv.hi-p.Start {
 							inside = true
 							break
 						}

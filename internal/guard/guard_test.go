@@ -351,7 +351,7 @@ func TestCheckMetadata(t *testing.T) {
 	}
 }
 
-func TestCheckChunkAndPhotoData(t *testing.T) {
+func TestCheckChunk(t *testing.T) {
 	c := Config{}.WithDefaults()
 	p := goodPhoto(2, 0)
 	want := map[model.PhotoID]bool{p.ID: true}
@@ -362,6 +362,12 @@ func TestCheckChunkAndPhotoData(t *testing.T) {
 	if v := c.CheckChunk(ch, map[model.PhotoID]bool{999: true}, 1<<16); v == nil || v.Reason != ReasonBadTransfer {
 		t.Fatalf("unrequested chunk = %v", v)
 	}
+	// Nothing requested or announced admits nothing.
+	for _, none := range []map[model.PhotoID]bool{nil, {}} {
+		if v := c.CheckChunk(ch, none, 1<<16); v == nil || v.Reason != ReasonBadTransfer {
+			t.Fatalf("chunk against want-set %v = %v", none, v)
+		}
+	}
 	if v := c.CheckChunk(ch, want, 1<<15); v == nil || v.Reason != ReasonBadTransfer {
 		t.Fatalf("wrong chunk size = %v", v)
 	}
@@ -369,17 +375,6 @@ func TestCheckChunkAndPhotoData(t *testing.T) {
 	big.Total = uint64(c.MaxPhotoBytes) + 1
 	if v := c.CheckChunk(big, want, 1<<16); v == nil || v.Reason != ReasonOversized {
 		t.Fatalf("oversized total = %v", v)
-	}
-
-	if v := c.CheckPhotoData(wire.PhotoData{Photo: p}, want); v != nil {
-		t.Fatalf("honest photo data rejected: %v", v)
-	}
-	if v := c.CheckPhotoData(wire.PhotoData{Photo: p}, map[model.PhotoID]bool{999: true}); v == nil || v.Reason != ReasonBadTransfer {
-		t.Fatalf("unrequested photo data = %v", v)
-	}
-	// Empty want-set means unpinned (v1 uploads carry no announcement).
-	if v := c.CheckPhotoData(wire.PhotoData{Photo: p}, nil); v != nil {
-		t.Fatalf("unpinned photo data rejected: %v", v)
 	}
 }
 

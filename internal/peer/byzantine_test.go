@@ -14,6 +14,7 @@ import (
 	"photodtn/internal/faults"
 	"photodtn/internal/guard"
 	"photodtn/internal/model"
+	"photodtn/internal/wire"
 )
 
 // byzNode is the identity every adversary claims.
@@ -436,5 +437,61 @@ func TestGuardSentinelThroughDialJoin(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled through errors.Join", err)
+	}
+}
+
+// TestGuardRejectsUnannouncedUploadChunk drives an upload by hand: node 5
+// announces nothing, then streams a chunk anyway. An empty announcement
+// admits nothing, so the guarded command center must abort with a
+// bad-transfer violation and hold no photo.
+func TestGuardRejectsUnannouncedUploadChunk(t *testing.T) {
+	cc := newTestPeer(t, model.CommandCenter, poiMap(), 0, byzGuardOpts()...)
+	photo := viewFrom(5, 0, 0)
+	ca, cb := net.Pipe()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() { _ = ca.Close() }()
+		hello := wire.Hello{Node: 5, Lambda: 0.01, DeliveryProb: 0.5, Time: 1000, Nonce: 7, Capacity: 64 * mb}
+		wc, _, err := wire.Negotiate(ca, hello, wire.Params{}, true)
+		if err != nil {
+			return
+		}
+		steps := []func() error{
+			func() error {
+				return wc.Write(wire.Metadata{Entries: []wire.MetaEntry{
+					{Node: 5, Lambda: 0.01, P: 0.5, Timestamp: 1000, Photos: model.PhotoList{photo}},
+				}})
+			},
+			func() error { _, err := wc.Read(); return err }, // the command center's metadata
+			func() error { return wc.Write(wire.PhotoRequest{}) },
+			func() error { _, err := wc.Read(); return err }, // its resume offer
+			func() error {
+				return wc.Write(wire.Chunk{Photo: photo, Count: 1, ChunkSize: uint32(wc.ChunkSize())})
+			},
+			func() error { _, err := wc.Read(); return err }, // a chunk ack, if admitted
+			func() error { return wc.Write(wire.Ack{IDs: []model.PhotoID{photo.ID}}) },
+			func() error { _, err := wc.Read(); return err }, // the delivery ack
+			func() error { _, err := wc.Read(); return err }, // bye
+			func() error { return wc.Write(wire.Bye{}) },
+		}
+		for _, step := range steps {
+			if step() != nil {
+				return
+			}
+		}
+	}()
+	err := cc.ContactConn(cb, false)
+	_ = cb.Close()
+	wg.Wait()
+	if !errors.Is(err, ErrProtocolViolation) {
+		t.Fatalf("command center err = %v, want ErrProtocolViolation", err)
+	}
+	if n := cc.GuardStats().ByReason[guard.ReasonBadTransfer]; n != 1 {
+		t.Fatalf("bad-transfer violations = %d, want 1", n)
+	}
+	if held := cc.Photos(); len(held) != 0 {
+		t.Fatalf("command center holds %v from an unannounced upload", sortedIDs(held))
 	}
 }

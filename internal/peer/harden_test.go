@@ -185,8 +185,8 @@ func TestAbortMidTransferLeavesPeersConsistent(t *testing.T) {
 	}
 	beforeA, beforeB := photoIDs(a), photoIDs(b)
 
-	// b's hello, metadata, and photo-request frames pass; its first
-	// PhotoData frame is corrupted.
+	// b's hello ack, metadata, and photo-request frames pass; its resume
+	// offer, the frame that opens the transfer, is corrupted.
 	ca, cb := net.Pipe()
 	tr := &corruptAfter{rw: cb, n: 3}
 	errA := make(chan error, 1)

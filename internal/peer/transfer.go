@@ -1,4 +1,4 @@
-// Chunked, resumable photo transfer — the peer side of wire protocol v2.
+// Chunked, resumable photo transfer — the peer side of the wire protocol.
 //
 // The sender plans its whole chunk list up front (resume offers and the
 // per-contact byte budget are folded in at plan time), then streams it
@@ -11,10 +11,10 @@
 // The receiver routes each chunk to a reassembly store: the peer's shared
 // cross-contact store when resume is negotiated (fresh chunks hit the
 // write-ahead journal first — memory never leads disk), or a contact-local
-// scratch store otherwise, whose leftovers are discarded at teardown
-// exactly like v1 — but counted as wasted bytes. A photo is admitted to
-// storage only when its final chunk lands and the whole-photo checksum
-// verifies, preserving the paper's §III-D photo-level atomicity.
+// scratch store otherwise, whose leftovers are discarded at teardown and
+// counted as wasted bytes. A photo is admitted to storage only when its
+// final chunk lands and the whole-photo checksum verifies, preserving the
+// paper's §III-D photo-level atomicity.
 package peer
 
 import (
@@ -28,20 +28,11 @@ import (
 	"photodtn/internal/wire"
 )
 
-// payloadFor generates the deterministic synthetic payload of a photo: an
-// xorshift keystream keyed by the photo ID, so every holder produces
-// bit-identical bytes — the cross-holder consistency that lets a transfer
-// started from one relay resume from another with matching checksums.
-func payloadFor(id model.PhotoID, n int) []byte {
-	if n <= 0 {
-		return nil
-	}
-	buf := make([]byte, n)
-	fillPayload(buf, id)
-	return buf
-}
-
-// fillPayload writes payloadFor(id, len(buf)) into buf.
+// fillPayload writes the deterministic synthetic payload of a photo into
+// buf: an xorshift keystream keyed by the photo ID, so every holder
+// produces bit-identical bytes — the cross-holder consistency that lets a
+// transfer started from one relay resume from another with matching
+// checksums.
 func fillPayload(buf []byte, id model.PhotoID) {
 	state := uint64(id)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 	for i := 0; i < len(buf); i += 8 {
@@ -59,12 +50,9 @@ func fillPayload(buf []byte, id model.PhotoID) {
 }
 
 // sendOffer writes this node's resume offer for the photos it is about to
-// receive. Sent on every v2 session to keep the exchange in lockstep; the
+// receive. Sent on every session to keep the exchange in lockstep; the
 // offer is empty when resume is off or nothing is partially held.
 func (s *session) sendOffer(want []model.PhotoID) error {
-	if s.wc.Version() < wire.ProtocolV2 {
-		return nil
-	}
 	var offer wire.ResumeOffer
 	if s.wc.Resume() {
 		for _, id := range want {
@@ -76,13 +64,10 @@ func (s *session) sendOffer(want []model.PhotoID) error {
 	return s.wc.Write(offer)
 }
 
-// readOffer reads the peer's resume offer (v2 only) into a lookup map,
-// pinning it — when the guard is armed — to the request that preceded it:
-// an offer may only name photos this side just asked the remote to send.
+// readOffer reads the peer's resume offer into a lookup map, pinning it —
+// when the guard is armed — to the request that preceded it: an offer may
+// only name photos this side just asked the remote to send.
 func (s *session) readOffer(requested []model.PhotoID) (map[model.PhotoID]wire.ResumeEntry, error) {
-	if s.wc.Version() < wire.ProtocolV2 {
-		return nil, nil
-	}
 	offer, err := readIn[wire.ResumeOffer](s)
 	if err != nil {
 		return nil, err
@@ -112,6 +97,9 @@ func (s *session) readOffer(requested []model.PhotoID) (map[model.PhotoID]wire.R
 // geometry, so the plan holds no payload: each photo's bytes are
 // synthesised into one reused buffer just before its chunks go out.
 func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.ResumeEntry) error {
+	if err := s.enterTransfer(); err != nil {
+		return err
+	}
 	p := s.p
 	budget := p.transfer.BudgetBytes
 	size, total := s.wc.ChunkSize(), max(p.payload, 0)
@@ -236,8 +224,12 @@ photos:
 // receiveChunks reads the peer's chunk stream until the terminating Ack,
 // acking each chunk and returning the photos that assembled and verified.
 // Photos whose resume offer already covered every chunk complete with zero
-// traffic.
+// traffic. want lists the photos this node asked for (or, as the command
+// center, was announced); with the guard armed nothing else is admitted.
 func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.Photo, error) {
+	if err := s.enterTransfer(); err != nil {
+		return nil, err
+	}
 	p := s.p
 	out := make(map[model.PhotoID]model.Photo)
 	// Pre-contact progress classifies completions as resumed and feeds the
@@ -366,8 +358,7 @@ func (s *session) addChunk(c wire.Chunk) (transfer.AddResult, error) {
 
 // finishTransfer settles the session's scratch reassembly state at contact
 // teardown: whatever the local store still tracks — incomplete photos from
-// an aborted or budget-cut transfer — is wasted, exactly the bytes v1 threw
-// away silently.
+// an aborted or budget-cut transfer — is wasted.
 func (s *session) finishTransfer() {
 	if s.localFrags == nil {
 		return

@@ -1,8 +1,11 @@
 package peer
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -11,6 +14,7 @@ import (
 
 	"photodtn/internal/faults"
 	"photodtn/internal/model"
+	"photodtn/internal/wire"
 )
 
 const kib = int64(1) << 10
@@ -50,29 +54,45 @@ func killContact(a, b *Peer, cut int64) (errA, errB error) {
 	return faultContact(a, b, &faultConn{rw: kt, conn: ca}, ca, cb)
 }
 
-// TestCrossVersionContactFallsBackToV1 pins v1 interop: a v2 peer contacting
-// a peer pinned to protocol version 1 completes the exchange over the
-// whole-photo path — no chunk frames on the wire, resume silently disabled.
-func TestCrossVersionContactFallsBackToV1(t *testing.T) {
-	m := poiMap()
-	a := newTestPeer(t, 1, m, 8*mb, WithPayloadBytes(int(128*kib)))
-	b := newTestPeer(t, 2, m, 8*mb, WithPayloadBytes(int(128*kib)),
-		WithTransfer(TransferConfig{Version: 1, Resume: true}))
-	if err := a.AddPhoto(viewFrom(1, 0, 0)); err != nil {
+// TestContactRejectsBaseHello: a remote opening with a hello that lacks
+// the transfer extension — the 44-byte body of the retired whole-photo
+// protocol — is refused during the handshake. Nothing is admitted, and the
+// failure is not one a retry could fix.
+func TestContactRejectsBaseHello(t *testing.T) {
+	b := newTestPeer(t, 2, poiMap(), 8*mb)
+	if err := b.AddPhoto(viewFrom(2, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddPhoto(viewFrom(2, 1, 90)); err != nil {
+	before := b.StateDigest()
+	var full bytes.Buffer
+	if err := wire.Write(&full, wire.Hello{Node: 1, Lambda: 0.01, DeliveryProb: 0.5, Time: 1000, Version: wire.ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
-	contact(t, a, b)
-	for _, p := range []*Peer{a, b} {
-		if got := len(p.Photos()); got != 2 {
-			t.Fatalf("peer %v holds %d photos after cross-version contact, want 2", p.ID(), got)
-		}
-		st := p.TransferStats()
-		if st.ChunksSent != 0 || st.ChunksReceived != 0 {
-			t.Fatalf("peer %v moved chunks on a v1 session: %+v", p.ID(), st)
-		}
+	// Reframe the first 44 body bytes: fresh length, same type, and the
+	// frame checksum (CRC-32C over type and body) recomputed.
+	frame := binary.LittleEndian.AppendUint32(nil, 44)
+	frame = append(frame, full.Bytes()[4:5+44]...)
+	frame = binary.LittleEndian.AppendUint32(frame, wire.PayloadCRC(frame[4:]))
+
+	ca, cb := net.Pipe()
+	go func() {
+		_, _ = ca.Write(frame)
+		_, _ = io.Copy(io.Discard, ca) // drain anything written back
+	}()
+	err := b.ContactConn(cb, false)
+	_ = cb.Close()
+	_ = ca.Close()
+	if !errors.Is(err, wire.ErrBadMessage) {
+		t.Fatalf("err = %v, want ErrBadMessage", err)
+	}
+	if transient(err) {
+		t.Fatalf("base-hello rejection classified transient: %v", err)
+	}
+	if got := b.StateDigest(); got != before {
+		t.Fatal("refused contact changed the peer's state")
+	}
+	if got := len(b.Photos()); got != 1 {
+		t.Fatalf("peer holds %d photos after a refused contact, want 1", got)
 	}
 }
 
@@ -397,7 +417,7 @@ func TestChaosMidChunkKillSweep(t *testing.T) {
 // TestPayloadGolden pins the synthetic payload keystream to digests
 // recorded before the send path synthesised payloads in place: transfers
 // resume across holders only if every build produces bit-identical bytes.
-// Both payloadFor and fillPayload (into a dirty, reused buffer) must match.
+// fillPayload must match even when writing into a dirty, reused buffer.
 func TestPayloadGolden(t *testing.T) {
 	golden := []struct {
 		id     model.PhotoID
@@ -427,21 +447,14 @@ func TestPayloadGolden(t *testing.T) {
 	}
 	buf := make([]byte, 256<<10)
 	for _, g := range golden {
-		sum := sha256.Sum256(payloadFor(g.id, g.n))
-		if got := hex.EncodeToString(sum[:]); got != g.sha256 {
-			t.Errorf("payloadFor(%#x, %d) = %s, want %s", uint64(g.id), g.n, got, g.sha256)
-		}
 		dirty := buf[:g.n]
 		for i := range dirty {
 			dirty[i] = 0xFF
 		}
 		fillPayload(dirty, g.id)
-		sum = sha256.Sum256(dirty)
+		sum := sha256.Sum256(dirty)
 		if got := hex.EncodeToString(sum[:]); got != g.sha256 {
 			t.Errorf("fillPayload(%#x, %d) = %s, want %s", uint64(g.id), g.n, got, g.sha256)
 		}
-	}
-	if payloadFor(1, 0) != nil || payloadFor(1, -5) != nil {
-		t.Error("non-positive payload length must yield no payload")
 	}
 }

@@ -1,4 +1,4 @@
-// Package transfer is the chunk reassembly store behind wire protocol v2:
+// Package transfer is the chunk reassembly store behind the wire protocol:
 // it tracks, per photo, which CRC-framed chunks have landed, unions
 // duplicates idempotently, and releases the assembled payload only when
 // every chunk is present and the whole-photo checksum verifies.

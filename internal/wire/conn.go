@@ -1,26 +1,17 @@
-// Conn and Negotiate: the version-negotiating half of the wire package.
+// Conn and Negotiate: the handshake half of the wire package.
 //
-// Protocol v1 moved whole photos as single PhotoData frames; v2 moves them
-// as CRC-framed chunks behind a windowed sender and can resume a partial
-// transfer in a later contact. The two interoperate through the handshake
-// below, which costs no extra round trips:
+// Photos move as CRC-framed chunks behind a windowed sender, and a partial
+// transfer can resume in a later contact. The handshake that fixes the
+// transfer parameters costs no extra round trip:
 //
 //	initiator                         responder
 //	---------                         ---------
-//	Hello (ext if v2) ------------->
-//	                                  both v2?  <------ HelloAck (negotiated)
-//	                                  either v1? <----- Hello (44-byte base)
+//	Hello (with extension) -------->
+//	                       <--------- HelloAck (negotiated)
 //
-// The responder always answers a v1-only hello with the 44-byte base body,
-// so a v1 peer never sees bytes it cannot decode in reply. In the other
-// direction a strict v1 build (which accepted exactly 44 bytes) would
-// reject an initiator's *extended* hello outright — pin Version 1 in
-// Params when dialing such a peer; the cross-version tests cover both
-// pinned directions.
-//
-// Every subsequent encode/decode goes through the Conn, which rejects v2+
-// message types on a v1 session in one place instead of scattering version
-// checks through the peer's state machine.
+// A hello without its transfer extension (the 44-byte body of the retired
+// whole-photo protocol) does not decode, so such a peer fails the handshake
+// instead of being served a downgraded session.
 package wire
 
 import (
@@ -29,17 +20,11 @@ import (
 	"io"
 )
 
-// Protocol versions.
-const (
-	// ProtocolV1 is the original whole-photo protocol.
-	ProtocolV1 uint16 = 1
-	// ProtocolV2 adds chunked, resumable transfer.
-	ProtocolV2 uint16 = 2
-	// ProtocolVersion is the highest version this build speaks.
-	ProtocolVersion = ProtocolV2
-)
+// ProtocolVersion is the protocol version this build speaks; every hello
+// carries it.
+const ProtocolVersion uint16 = 2
 
-// Default transfer parameters (v2).
+// Default transfer parameters.
 const (
 	// DefaultChunkSize is the default transfer chunk size: 256 KiB.
 	DefaultChunkSize = 256 << 10
@@ -52,21 +37,12 @@ const (
 // transfers and wants resume offers.
 const FlagResume uint8 = 0x01
 
-// Handshake errors.
-var (
-	// ErrHandshake reports an unexpected message during version
-	// negotiation.
-	ErrHandshake = errors.New("wire: handshake violation")
-	// ErrVersion reports a message type not spoken at the negotiated
-	// version.
-	ErrVersion = errors.New("wire: message type above negotiated version")
-)
+// ErrHandshake reports an unexpected message during the handshake.
+var ErrHandshake = errors.New("wire: handshake violation")
 
 // Params are one side's transfer preferences going into a handshake. The
 // zero value asks for the current defaults with resume disabled.
 type Params struct {
-	// Version is the highest protocol version to offer (0 = current).
-	Version uint16
 	// ChunkSize is the preferred chunk size in bytes (0 = default).
 	ChunkSize uint32
 	// Window is the preferred in-flight chunk window (0 = default).
@@ -76,9 +52,6 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	if p.Version == 0 || p.Version > ProtocolVersion {
-		p.Version = ProtocolVersion
-	}
 	if p.ChunkSize == 0 {
 		p.ChunkSize = DefaultChunkSize
 	}
@@ -88,22 +61,16 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Conn is a contact connection after version negotiation: a frame codec
-// that admits exactly the message set of the negotiated version, plus the
+// Conn is a contact connection after the handshake: a frame codec plus the
 // agreed transfer parameters.
 type Conn struct {
 	rw        io.ReadWriter
-	version   uint16
 	chunkSize uint32
 	window    int
 	resume    bool
 }
 
-// Version returns the negotiated protocol version.
-func (c *Conn) Version() uint16 { return c.version }
-
-// ChunkSize returns the negotiated chunk size in bytes (v2; the default on
-// a v1 session, where it is unused).
+// ChunkSize returns the negotiated chunk size in bytes.
 func (c *Conn) ChunkSize() int { return int(c.chunkSize) }
 
 // Window returns the negotiated in-flight chunk window (≥ 1).
@@ -112,126 +79,69 @@ func (c *Conn) Window() int { return c.window }
 // Resume reports whether both sides persist partial transfers.
 func (c *Conn) Resume() bool { return c.resume }
 
-// minVersion maps each message type to the protocol version that
-// introduced it.
-func minVersion(t MsgType) uint16 {
-	switch t {
-	case MsgHelloAck, MsgChunk, MsgChunkAck, MsgResumeOffer:
-		return ProtocolV2
-	default:
-		return ProtocolV1
-	}
-}
+// Write encodes one message as a frame.
+func (c *Conn) Write(msg Message) error { return Write(c.rw, msg) }
 
-func (c *Conn) check(t MsgType) error {
-	if v := minVersion(t); v > c.version {
-		return fmt.Errorf("%w: %v needs v%d, session is v%d", ErrVersion, t, v, c.version)
-	}
-	return nil
-}
-
-// Write encodes one message, rejecting types above the session version.
-func (c *Conn) Write(msg Message) error {
-	if err := c.check(msg.Type()); err != nil {
-		return err
-	}
-	return Write(c.rw, msg)
-}
-
-// Read decodes the next frame, rejecting types above the session version.
-func (c *Conn) Read() (Message, error) {
-	msg, err := Read(c.rw)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.check(msg.Type()); err != nil {
-		return nil, err
-	}
-	return msg, nil
-}
+// Read decodes the next frame.
+func (c *Conn) Read() (Message, error) { return Read(c.rw) }
 
 // negotiate folds the remote hello into local params: element-wise minimum
-// for version, chunk size and window; logical AND for resume.
+// for chunk size and window; logical AND for resume.
 func negotiate(p Params, h Hello) Params {
 	out := p
-	if v := h.Version; v == 0 {
-		out.Version = ProtocolV1
-	} else if v < out.Version {
-		out.Version = v
+	if h.ChunkSize != 0 && h.ChunkSize < out.ChunkSize {
+		out.ChunkSize = h.ChunkSize
 	}
-	if out.Version >= ProtocolV2 {
-		if h.ChunkSize != 0 && h.ChunkSize < out.ChunkSize {
-			out.ChunkSize = h.ChunkSize
-		}
-		if h.Window != 0 && h.Window < out.Window {
-			out.Window = h.Window
-		}
-		out.Resume = p.Resume && h.Flags&FlagResume != 0
-	} else {
-		out.Resume = false
+	if h.Window != 0 && h.Window < out.Window {
+		out.Window = h.Window
 	}
+	out.Resume = p.Resume && h.Flags&FlagResume != 0
 	return out
 }
 
 func newConn(rw io.ReadWriter, p Params) *Conn {
 	return &Conn{
 		rw:        rw,
-		version:   p.Version,
 		chunkSize: p.ChunkSize,
 		window:    max(1, int(p.Window)),
 		resume:    p.Resume,
 	}
 }
 
-// extend stamps the transfer extension onto a hello when offering v2+.
+// extend stamps the transfer extension onto a hello.
 func extend(own Hello, p Params) Hello {
-	own.Version = p.Version
-	own.ChunkSize, own.Window, own.Flags = 0, 0, 0
-	if p.Version >= ProtocolV2 {
-		own.ChunkSize = p.ChunkSize
-		own.Window = p.Window
-		if p.Resume {
-			own.Flags |= FlagResume
-		}
+	own.Version = ProtocolVersion
+	own.ChunkSize = p.ChunkSize
+	own.Window = p.Window
+	own.Flags = 0
+	if p.Resume {
+		own.Flags = FlagResume
 	}
 	return own
 }
 
-// Negotiate performs the version handshake over rw and returns the
-// negotiated connection plus the remote's hello. own carries the caller's
-// identity fields; its transfer extension is overwritten from p. The
-// initiator writes first (the peer layer's turn-taking convention).
+// Negotiate performs the handshake over rw and returns the negotiated
+// connection plus the remote's hello. own carries the caller's identity
+// fields; its transfer extension is overwritten from p. The initiator
+// writes first (the peer layer's turn-taking convention).
 func Negotiate(rw io.ReadWriter, own Hello, p Params, initiator bool) (*Conn, Hello, error) {
 	p = p.withDefaults()
-	own = extend(own, p)
 	if initiator {
-		if err := Write(rw, own); err != nil {
+		if err := Write(rw, extend(own, p)); err != nil {
 			return nil, Hello{}, err
 		}
 		msg, err := Read(rw)
 		if err != nil {
 			return nil, Hello{}, err
 		}
-		switch m := msg.(type) {
-		case HelloAck:
-			if p.Version < ProtocolV2 {
-				return nil, Hello{}, fmt.Errorf("%w: hello ack on a v1 offer", ErrHandshake)
-			}
-			// The ack already carries the responder's minimum; folding it
-			// into our params again clamps a misbehaving responder that
-			// tried to negotiate *up*.
-			return newConn(rw, negotiate(p, m.Hello)), m.Hello, nil
-		case Hello:
-			// v1 responder (or one that declined the extension).
-			if m.Version >= ProtocolV2 {
-				return nil, Hello{}, fmt.Errorf("%w: extended hello where ack expected", ErrHandshake)
-			}
-			p.Version = ProtocolV1
-			p.Resume = false
-			return newConn(rw, p), m, nil
-		default:
+		ack, ok := msg.(HelloAck)
+		if !ok {
 			return nil, Hello{}, fmt.Errorf("%w: %v in reply to hello", ErrHandshake, msg.Type())
 		}
+		// The ack already carries the responder's minimum; folding it into
+		// our params again clamps a misbehaving responder that tried to
+		// negotiate *up*.
+		return newConn(rw, negotiate(p, ack.Hello)), ack.Hello, nil
 	}
 	msg, err := Read(rw)
 	if err != nil {
@@ -242,14 +152,7 @@ func Negotiate(rw io.ReadWriter, own Hello, p Params, initiator bool) (*Conn, He
 		return nil, Hello{}, fmt.Errorf("%w: %v before hello", ErrHandshake, msg.Type())
 	}
 	neg := negotiate(p, h)
-	if neg.Version >= ProtocolV2 {
-		ack := HelloAck{Hello: extend(own, neg)}
-		if err := Write(rw, ack); err != nil {
-			return nil, Hello{}, err
-		}
-		return newConn(rw, neg), h, nil
-	}
-	if err := Write(rw, extend(own, neg)); err != nil {
+	if err := Write(rw, HelloAck{Hello: extend(own, neg)}); err != nil {
 		return nil, Hello{}, err
 	}
 	return newConn(rw, neg), h, nil

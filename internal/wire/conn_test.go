@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 )
@@ -40,9 +42,6 @@ func TestNegotiateBothV2(t *testing.T) {
 		Params{ChunkSize: 128 << 10, Window: 16, Resume: true},
 		Params{ChunkSize: 64 << 10, Window: 4, Resume: true})
 	for _, c := range []*Conn{ci, cr} {
-		if c.Version() != ProtocolV2 {
-			t.Fatalf("version = %d", c.Version())
-		}
 		if c.ChunkSize() != 64<<10 {
 			t.Fatalf("chunk size = %d, want min", c.ChunkSize())
 		}
@@ -55,49 +54,10 @@ func TestNegotiateBothV2(t *testing.T) {
 	}
 }
 
-func TestNegotiateMixedVersions(t *testing.T) {
-	cases := []struct {
-		name   string
-		pi, pr Params
-	}{
-		{"v1 initiator", Params{Version: ProtocolV1}, Params{Resume: true}},
-		{"v1 responder", Params{Resume: true}, Params{Version: ProtocolV1}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ci, cr := handshake(t, tc.pi, tc.pr)
-			for _, c := range []*Conn{ci, cr} {
-				if c.Version() != ProtocolV1 {
-					t.Fatalf("version = %d, want 1", c.Version())
-				}
-				if c.Resume() {
-					t.Fatal("resume negotiated on a v1 session")
-				}
-			}
-		})
-	}
-}
-
 func TestNegotiateResumeRequiresBoth(t *testing.T) {
 	ci, cr := handshake(t, Params{Resume: true}, Params{})
 	if ci.Resume() || cr.Resume() {
 		t.Fatal("resume needs both sides")
-	}
-}
-
-func TestConnVersionGate(t *testing.T) {
-	ci, cr := handshake(t, Params{Version: ProtocolV1}, Params{})
-	if err := ci.Write(ChunkAck{ID: 1}); !errors.Is(err, ErrVersion) {
-		t.Fatalf("write err = %v, want ErrVersion", err)
-	}
-	// A v2 frame arriving on a v1 session is rejected on read, too.
-	done := make(chan error, 1)
-	go func() { done <- Write(cr.rw, ChunkAck{ID: 1, Index: 0}) }()
-	if _, err := ci.Read(); !errors.Is(err, ErrVersion) {
-		t.Fatalf("read err = %v, want ErrVersion", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -117,5 +77,27 @@ func TestNegotiateRejectsNonHello(t *testing.T) {
 	}
 	if err := <-done; !errors.Is(err, ErrHandshake) {
 		t.Fatalf("err = %v, want ErrHandshake", err)
+	}
+}
+
+// TestNegotiateRejectsBaseHello: a hello without its transfer extension —
+// the 44-byte body of the retired whole-photo protocol — fails the
+// responder's handshake before anything is written back.
+func TestNegotiateRejectsBaseHello(t *testing.T) {
+	var full bytes.Buffer
+	if err := Write(&full, Hello{Node: 1, Nonce: 11, Version: ProtocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	base := reframe(MsgHello, full.Bytes()[5:5+44])
+	var replies bytes.Buffer
+	rw := struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(base), &replies}
+	if _, _, err := Negotiate(rw, Hello{Node: 2}, Params{}, false); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("err = %v, want ErrBadMessage", err)
+	}
+	if replies.Len() != 0 {
+		t.Fatalf("responder wrote %d bytes in reply to a base hello", replies.Len())
 	}
 }

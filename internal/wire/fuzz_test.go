@@ -13,14 +13,14 @@ import (
 func FuzzRead(f *testing.F) {
 	// Seed with every valid message type.
 	seed := []Message{
-		Hello{Node: 1, Lambda: 0.1, DeliveryProb: 0.5, Time: 10, Nonce: 7, Capacity: 1 << 20},
+		Hello{Node: 1, Lambda: 0.1, DeliveryProb: 0.5, Time: 10, Nonce: 7, Capacity: 1 << 20, Version: ProtocolVersion},
 		Metadata{Entries: []MetaEntry{{Node: 2, Photos: model.PhotoList{samplePhoto(2, 0)}}}},
 		PhotoRequest{IDs: []model.PhotoID{1, 2, 3}},
-		PhotoData{Photo: samplePhoto(1, 1), Payload: []byte{9, 9}},
+		singleChunk(samplePhoto(1, 1), []byte{9, 9}),
 		Ack{IDs: []model.PhotoID{4}},
 		Bye{},
-		Hello{Node: 3, Nonce: 8, Version: ProtocolV2, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume},
-		HelloAck{Hello: Hello{Node: 4, Version: ProtocolV2, ChunkSize: 32 << 10, Window: 2}},
+		Hello{Node: 3, Nonce: 8, Version: ProtocolVersion, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume},
+		HelloAck{Hello: Hello{Node: 4, Version: ProtocolVersion, ChunkSize: 32 << 10, Window: 2}},
 		Chunk{Photo: samplePhoto(5, 0), Index: 1, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3, 4}},
 		ChunkAck{ID: model.MakePhotoID(5, 0), Index: 1},
 		ResumeOffer{Entries: []ResumeEntry{{ID: 9, ChunkSize: 4, Count: 3, Total: 11, Bitmap: []byte{0b101}}}},
@@ -38,7 +38,7 @@ func FuzzRead(f *testing.F) {
 	// oversized declared length.
 	{
 		var buf bytes.Buffer
-		if err := Write(&buf, Hello{Node: 9, Nonce: 1}); err != nil {
+		if err := Write(&buf, Hello{Node: 9, Nonce: 1, Version: ProtocolVersion}); err != nil {
 			f.Fatal(err)
 		}
 		badCRC := append([]byte(nil), buf.Bytes()...)
@@ -50,7 +50,7 @@ func FuzzRead(f *testing.F) {
 	}
 	{
 		var buf bytes.Buffer
-		if err := Write(&buf, PhotoData{Photo: samplePhoto(3, 3), Payload: bytes.Repeat([]byte{5}, 32)}); err != nil {
+		if err := Write(&buf, singleChunk(samplePhoto(3, 3), bytes.Repeat([]byte{5}, 32))); err != nil {
 			f.Fatal(err)
 		}
 		whole := buf.Bytes()
@@ -86,15 +86,15 @@ func FuzzDecodeMessage(f *testing.F) {
 	// Seed with the body of every valid message type (frames minus the
 	// 5-byte header and 4-byte checksum trailer).
 	seed := []Message{
-		Hello{Node: 1, Lambda: 0.1, DeliveryProb: 0.5, Time: 10, Nonce: 7, Capacity: 1 << 20},
+		Hello{Node: 1, Lambda: 0.1, DeliveryProb: 0.5, Time: 10, Nonce: 7, Capacity: 1 << 20, Version: ProtocolVersion},
 		Metadata{Entries: []MetaEntry{{Node: 2, Lambda: 0.5, P: 0.25, Timestamp: 3, Photos: model.PhotoList{samplePhoto(2, 0)}}}},
 		Metadata{},
 		PhotoRequest{IDs: []model.PhotoID{1, 2, 3}},
-		PhotoData{Photo: samplePhoto(1, 1), Payload: []byte{9, 9}},
+		singleChunk(samplePhoto(1, 1), []byte{9, 9}),
 		Ack{IDs: []model.PhotoID{4}},
 		Bye{},
-		Hello{Node: 3, Nonce: 8, Version: ProtocolV2, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume},
-		HelloAck{Hello: Hello{Node: 4, Version: ProtocolV2, ChunkSize: 32 << 10, Window: 2}},
+		Hello{Node: 3, Nonce: 8, Version: ProtocolVersion, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume},
+		HelloAck{Hello: Hello{Node: 4, Version: ProtocolVersion, ChunkSize: 32 << 10, Window: 2}},
 		Chunk{Photo: samplePhoto(5, 0), Index: 2, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3}},
 		ChunkAck{ID: model.MakePhotoID(5, 0), Index: 1},
 		ResumeOffer{Entries: []ResumeEntry{{ID: 9, ChunkSize: 4, Count: 3, Total: 11, Bitmap: []byte{0b101}}}},
@@ -110,12 +110,13 @@ func FuzzDecodeMessage(f *testing.F) {
 	// Hostile shapes: unknown type, truncated counts, absurd lengths.
 	f.Add(byte(0), []byte{})
 	f.Add(byte(9), []byte{1, 2, 3})
-	f.Add(byte(MsgMetadata), []byte{0xFF, 0xFF, 0xFF, 0xFF})             // huge entry count
-	f.Add(byte(MsgPhotoRequest), []byte{0xFF, 0xFF, 0xFF, 0x7F})         // huge ID count
-	f.Add(byte(MsgPhotoData), bytes.Repeat([]byte{0xFF}, 16))            // garbage photo
-	f.Add(byte(MsgBye), []byte{1})                                       // bye with body
-	f.Add(byte(MsgHello), bytes.Repeat([]byte{0x41}, 35))                // one byte short
-	f.Add(byte(MsgMetadata), []byte{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // truncated entry
+	f.Add(byte(MsgMetadata), []byte{0xFF, 0xFF, 0xFF, 0xFF})                  // huge entry count
+	f.Add(byte(MsgPhotoRequest), []byte{0xFF, 0xFF, 0xFF, 0x7F})              // huge ID count
+	f.Add(byte(MsgChunk), bytes.Repeat([]byte{0xFF}, 16))                     // garbage photo
+	f.Add(byte(4), singleChunk(samplePhoto(1, 1), []byte{9}).appendBody(nil)) // reserved type
+	f.Add(byte(MsgBye), []byte{1})                                            // bye with body
+	f.Add(byte(MsgHello), bytes.Repeat([]byte{0x41}, 35))                     // one byte short
+	f.Add(byte(MsgMetadata), []byte{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})      // truncated entry
 	// Hostile length claims: counts and geometry chosen to bait an
 	// allocator that trusts the header, with bodies far too short to ever
 	// satisfy them.

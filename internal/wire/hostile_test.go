@@ -31,6 +31,13 @@ func TestDecodeHostileLengths(t *testing.T) {
 	hugeResume = appendU64(hugeResume, MaxChunks)
 	hugeResume = appendU32(hugeResume, 0)
 
+	lyingChunk := samplePhoto(3, 0).AppendBinary(nil) // one chunk ...
+	lyingChunk = appendU32(lyingChunk, 0)             // index
+	lyingChunk = appendU32(lyingChunk, 1)             // count
+	lyingChunk = appendU32(lyingChunk, 0x7FFFFFFF)    // chunk size
+	lyingChunk = appendU64(lyingChunk, 0x7FFFFFFF)    // ... claiming 2 GiB of data
+	lyingChunk = appendU32(lyingChunk, 0)             // crc
+
 	cases := []struct {
 		name string
 		typ  MsgType
@@ -44,7 +51,7 @@ func TestDecodeHostileLengths(t *testing.T) {
 		{"offer count short", MsgResumeOffer, append([]byte{0x10, 0, 0, 0}, make([]byte, 29)...)},
 		{"offer bitmap", MsgResumeOffer, append(appendU32(nil, 1), hugeResume...)},
 		{"chunk geometry", MsgChunk, hugeChunk},
-		{"photo data payload", MsgPhotoData, append(samplePhoto(3, 0).AppendBinary(nil), 0xFF, 0xFF, 0xFF, 0x7F)},
+		{"photo data payload", MsgChunk, lyingChunk},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,15 +13,15 @@ import (
 // would show it.
 func aliasCases() []Message {
 	return []Message{
-		Hello{Node: 1, Lambda: 0.1, DeliveryProb: 0.5, Time: 10, Nonce: 7, Capacity: 1 << 20},
-		Hello{Node: 3, Nonce: 8, Version: ProtocolV2, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume},
-		HelloAck{Hello: Hello{Node: 4, Version: ProtocolV2, ChunkSize: 32 << 10, Window: 2}},
+		Hello{Node: 1, Lambda: 0.1, DeliveryProb: 0.5, Time: 10, Nonce: 7, Capacity: 1 << 20, Version: ProtocolVersion},
+		Hello{Node: 3, Nonce: 8, Version: ProtocolVersion, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume},
+		HelloAck{Hello: Hello{Node: 4, Version: ProtocolVersion, ChunkSize: 32 << 10, Window: 2}},
 		Metadata{Entries: []MetaEntry{
 			{Node: 2, Lambda: 0.5, P: 0.25, Timestamp: 3, Photos: model.PhotoList{samplePhoto(2, 0), samplePhoto(2, 1)}},
 			{Node: 5, Lambda: 0.1, P: 0.75, Timestamp: 4},
 		}},
 		PhotoRequest{IDs: []model.PhotoID{1, 2, model.MakePhotoID(5, 7)}},
-		PhotoData{Photo: samplePhoto(1, 1), Payload: []byte{9, 8, 7, 6, 5}},
+		singleChunk(samplePhoto(1, 1), []byte{9, 8, 7, 6, 5}),
 		Ack{IDs: []model.PhotoID{4, 5}},
 		Bye{},
 		Chunk{Photo: samplePhoto(5, 0), Index: 1, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3, 4}},
@@ -124,9 +124,9 @@ func TestFramePoolConcurrent(t *testing.T) {
 // TestFrameAbovePoolCapRoundTrips sends a frame larger than the pool keeps:
 // it must still encode and decode intact.
 func TestFrameAbovePoolCapRoundTrips(t *testing.T) {
-	msg := PhotoData{Photo: samplePhoto(2, 3), Payload: bytes.Repeat([]byte{0x5A}, maxPooledFrame+1)}
-	got := roundTrip(t, msg).(PhotoData)
-	if got.Photo != msg.Photo || !bytes.Equal(got.Payload, msg.Payload) {
+	msg := singleChunk(samplePhoto(2, 3), bytes.Repeat([]byte{0x5A}, maxPooledFrame+1))
+	got := roundTrip(t, msg).(Chunk)
+	if got.Photo != msg.Photo || !bytes.Equal(got.Data, msg.Data) {
 		t.Fatal("oversized frame corrupted in round trip")
 	}
 }

@@ -21,6 +21,15 @@ func samplePhoto(owner model.NodeID, seq uint32) model.Photo {
 	}
 }
 
+// singleChunk wraps a whole payload in one chunk: the smallest well-formed
+// frame that carries photo metadata plus variable-length data.
+func singleChunk(p model.Photo, data []byte) Chunk {
+	return Chunk{
+		Photo: p, Count: 1, ChunkSize: uint32(max(len(data), 1)),
+		Total: uint64(len(data)), PayloadCRC: PayloadCRC(data), Data: data,
+	}
+}
+
 func roundTrip(t *testing.T, msg Message) Message {
 	t.Helper()
 	var buf bytes.Buffer
@@ -38,19 +47,25 @@ func roundTrip(t *testing.T, msg Message) Message {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	msg := Hello{Node: 7, Lambda: 0.001, DeliveryProb: 0.4, Time: 1234.5, Nonce: 0xDEADBEEF, Capacity: 5 << 30}
-	got := roundTrip(t, msg)
-	want := msg
-	want.Version = ProtocolV1 // a base hello decodes as explicit v1
-	if got != want {
+	msg := Hello{Node: 7, Lambda: 0.001, DeliveryProb: 0.4, Time: 1234.5, Nonce: 0xDEADBEEF, Capacity: 5 << 30, Version: ProtocolVersion}
+	if got := roundTrip(t, msg); got != msg {
 		t.Fatalf("got %+v", got)
+	}
+	// A hello stamped with an older version is malformed.
+	var buf bytes.Buffer
+	msg.Version = ProtocolVersion - 1
+	if err := Write(&buf, msg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("old-version hello: err = %v, want ErrBadMessage", err)
 	}
 }
 
 func TestHelloExtendedRoundTrip(t *testing.T) {
 	msg := Hello{
 		Node: 7, Lambda: 0.001, DeliveryProb: 0.4, Time: 1234.5, Nonce: 0xDEADBEEF, Capacity: 5 << 30,
-		Version: ProtocolV2, ChunkSize: 128 << 10, Window: 4, Flags: FlagResume,
+		Version: ProtocolVersion, ChunkSize: 128 << 10, Window: 4, Flags: FlagResume,
 	}
 	if got := roundTrip(t, msg); got != msg {
 		t.Fatalf("got %+v", got)
@@ -163,18 +178,6 @@ func TestPhotoRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPhotoDataRoundTrip(t *testing.T) {
-	msg := PhotoData{Photo: samplePhoto(3, 9), Payload: []byte{1, 2, 3, 4}}
-	got := roundTrip(t, msg).(PhotoData)
-	if got.Photo != msg.Photo || !bytes.Equal(got.Payload, msg.Payload) {
-		t.Fatalf("got %+v", got)
-	}
-	noPayload := roundTrip(t, PhotoData{Photo: samplePhoto(3, 10)}).(PhotoData)
-	if noPayload.Payload != nil {
-		t.Fatal("empty payload should decode as nil")
-	}
-}
-
 func TestAckAndByeRoundTrip(t *testing.T) {
 	ack := roundTrip(t, Ack{IDs: []model.PhotoID{42}}).(Ack)
 	if len(ack.IDs) != 1 || ack.IDs[0] != 42 {
@@ -188,10 +191,10 @@ func TestAckAndByeRoundTrip(t *testing.T) {
 func TestMessageStream(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
-		Hello{Node: 1, Nonce: 5},
+		Hello{Node: 1, Nonce: 5, Version: ProtocolVersion},
 		Metadata{Entries: []MetaEntry{{Node: 1, Photos: model.PhotoList{samplePhoto(1, 0)}}}},
 		PhotoRequest{IDs: []model.PhotoID{7}},
-		PhotoData{Photo: samplePhoto(2, 0), Payload: bytes.Repeat([]byte{0xAB}, 1024)},
+		singleChunk(samplePhoto(2, 0), bytes.Repeat([]byte{0xAB}, 1024)),
 		Ack{IDs: []model.PhotoID{7}},
 		Bye{},
 	}
@@ -263,7 +266,7 @@ func TestChecksumDetectsBitFlips(t *testing.T) {
 	// length flips starve or shorten the read, type and body flips break
 	// the checksum, trailer flips mismatch the computed sum.
 	var buf bytes.Buffer
-	if err := Write(&buf, Hello{Node: 3, Lambda: 0.5, DeliveryProb: 0.25, Time: 99, Nonce: 7, Capacity: 1 << 20}); err != nil {
+	if err := Write(&buf, Hello{Node: 3, Lambda: 0.5, DeliveryProb: 0.25, Time: 99, Nonce: 7, Capacity: 1 << 20, Version: ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -297,7 +300,7 @@ func TestReadRejectsOversizeLengthBeforeAllocating(t *testing.T) {
 	// 5-byte header alone — no body bytes are consumed or allocated.
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(MaxFrame+1))
-	hdr[4] = byte(MsgPhotoData)
+	hdr[4] = byte(MsgChunk)
 	r := bytes.NewReader(hdr[:])
 	if _, err := Read(r); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("err = %v, want ErrFrameTooBig", err)
@@ -313,9 +316,10 @@ func TestReadRejectsOversizeLengthBeforeAllocating(t *testing.T) {
 }
 
 func TestReadRejectsTruncatedPayload(t *testing.T) {
-	// A PhotoData frame cut short mid-payload (valid header, missing tail).
+	// A chunk frame cut short mid-payload (valid header, missing tail).
 	var buf bytes.Buffer
-	if err := Write(&buf, PhotoData{Photo: samplePhoto(2, 2), Payload: bytes.Repeat([]byte{7}, 64)}); err != nil {
+	c := Chunk{Photo: samplePhoto(2, 2), Count: 1, ChunkSize: 1024, Total: 64, Data: bytes.Repeat([]byte{7}, 64)}
+	if err := Write(&buf, c); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -323,18 +327,19 @@ func TestReadRejectsTruncatedPayload(t *testing.T) {
 		t.Fatal("truncated frame decoded silently")
 	}
 	// And one whose payload-length field lies (checksum recomputed so the
-	// payload decoder must catch it).
+	// chunk decoder must catch it). The claim stays a single chunk, so the
+	// geometry check passes and the data-length check has to fire.
 	body := frame[5 : len(frame)-4]
 	lied := append([]byte(nil), body...)
-	// The payload length field sits 4+len(payload) bytes from the end.
-	binary.LittleEndian.PutUint32(lied[len(lied)-4-64:], 1000)
-	if _, err := Read(bytes.NewReader(reframe(MsgPhotoData, lied))); !errors.Is(err, ErrBadMessage) {
+	// The total field sits before the 4-byte CRC and the 64 data bytes.
+	binary.LittleEndian.PutUint64(lied[len(lied)-64-4-8:], 1000)
+	if _, err := Read(bytes.NewReader(reframe(MsgChunk, lied))); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("err = %v, want ErrBadMessage", err)
 	}
 }
 
 func TestWriteRejectsHugeFrame(t *testing.T) {
-	big := PhotoData{Photo: samplePhoto(1, 0), Payload: make([]byte, MaxFrame)}
+	big := singleChunk(samplePhoto(1, 0), make([]byte, MaxFrame))
 	if err := Write(io.Discard, big); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("err = %v, want ErrFrameTooBig", err)
 	}
@@ -343,11 +348,21 @@ func TestWriteRejectsHugeFrame(t *testing.T) {
 func TestMsgTypeString(t *testing.T) {
 	names := map[MsgType]string{
 		MsgHello: "Hello", MsgMetadata: "Metadata", MsgPhotoRequest: "PhotoRequest",
-		MsgPhotoData: "PhotoData", MsgAck: "Ack", MsgBye: "Bye", MsgType(77): "MsgType(77)",
+		MsgType(4): "MsgType(4)", MsgAck: "Ack", MsgBye: "Bye", MsgType(77): "MsgType(77)",
 	}
 	for tpe, want := range names {
 		if got := tpe.String(); got != want {
 			t.Fatalf("String(%d) = %q, want %q", tpe, got, want)
 		}
+	}
+}
+
+// TestReservedTypeIsUnknown: type 4 carried the retired whole-photo frame.
+// The slot stays reserved, so a frame of that type — even one wrapping a
+// well-formed body — decodes as an unknown type.
+func TestReservedTypeIsUnknown(t *testing.T) {
+	body := singleChunk(samplePhoto(1, 0), []byte{1, 2, 3}).appendBody(nil)
+	if _, err := Read(bytes.NewReader(reframe(MsgType(4), body))); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("err = %v, want ErrBadMessage", err)
 	}
 }

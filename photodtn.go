@@ -332,9 +332,9 @@ func OpenPeer(dir string, id NodeID, m *Map, capacity int64, opts ...PeerOption)
 // PeerJournalStats describes a durable peer's recovery and commit history.
 type PeerJournalStats = peer.JournalStats
 
-// TransferConfig tunes chunked, resumable photo transfer (wire protocol
-// v2): chunk size, pipeline window, per-contact byte budget, and whether
-// partial transfers persist across contacts. Pass it through WithTransfer.
+// TransferConfig tunes chunked, resumable photo transfer: chunk size,
+// pipeline window, per-contact byte budget, and whether partial transfers
+// persist across contacts. Pass it through WithTransfer.
 type TransferConfig = peer.TransferConfig
 
 // PeerTransferStats aggregates a live peer's chunked-transfer activity
@@ -364,9 +364,10 @@ var (
 	ErrRateLimited = peer.ErrRateLimited
 )
 
-// ProtocolVersion is the highest wire protocol version this build speaks.
-// Version 2 added chunked, resumable transfer; v2 peers interoperate with
-// v1 peers through the hello handshake (resume silently disabled).
+// ProtocolVersion is the wire protocol version this build speaks: chunked,
+// resumable transfer behind a Hello/HelloAck handshake. Every hello
+// carries it; a peer that speaks only the retired whole-photo version 1
+// fails the handshake.
 const ProtocolVersion = wire.ProtocolVersion
 
 // Peer options re-exported for facade users.
