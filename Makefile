@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race race-repeat soak-short chaos byzantine bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
+.PHONY: tier1 build vet test race race-repeat soak-short chaos byzantine perfbench-smoke bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
 
 # tier1 is the merge gate: everything must pass before a change lands.
-tier1: build vet test race byzantine soak-short bench-short fuzz-short bench-diff
+tier1: build vet test race byzantine soak-short perfbench-smoke bench-short fuzz-short bench-diff
 
 build:
 	$(GO) build ./...
@@ -25,13 +25,14 @@ race:
 
 # race-repeat is the focused -count=2 race pass over the packages with the
 # most scheduling-dependent concurrency: incremental selection and the
-# coverage cache (session reuse, parallel gain scans), the live peer and
-# its session FSM (commit races, admission, the pipelined chunk-ack
-# reader), the wire codec and reassembly store, and the guard's per-peer
-# accounting. The second run gives each interleaving another chance to trip
-# the detector. CI runs it as one job.
+# coverage cache (session reuse, parallel gain scans), the metadata cache
+# (photo lists shared between a peer's state and its sessions' clones), the
+# live peer and its session FSM (commit races, admission, the pipelined
+# chunk-ack reader), the wire codec and reassembly store, and the guard's
+# per-peer accounting. The second run gives each interleaving another
+# chance to trip the detector. CI runs it as one job.
 race-repeat:
-	$(GO) test -race -count=2 ./internal/selection/ ./internal/coverage/ ./internal/peer/... ./internal/wire/ ./internal/transfer/ ./internal/guard/
+	$(GO) test -race -count=2 ./internal/selection/ ./internal/coverage/ ./internal/metadata/ ./internal/peer/... ./internal/wire/ ./internal/transfer/ ./internal/guard/
 
 # byzantine is the adversarial-peer property harness: every ByzantinePeer
 # strategy (replay, flood, absurd claims, phase desync, poisoned metadata,
@@ -48,6 +49,13 @@ byzantine:
 # and the fault-injection invariants (no duplicate or lost deliveries).
 soak-short:
 	$(GO) test -race -count=1 -run '^TestSoak' ./internal/peer/
+
+# perfbench-smoke runs the end-to-end benchmark's own tests (a short span of
+# every workload, untraced and traced). perfbench is a separate Go module, so
+# `go test ./...` never reaches it; its smoke test pins the live-mit outcome
+# and state digests.
+perfbench-smoke:
+	$(GO) -C perfbench test ./...
 
 # chaos is the crash-recovery harness: it sweeps a kill across every
 # mutating disk operation of a durable peer's write sequence (clean and

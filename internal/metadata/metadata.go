@@ -15,9 +15,15 @@
 // (the command center never drops photos), and sharing it acts as a delivery
 // acknowledgement that lets nodes purge already-delivered photos from
 // consideration.
+//
+// Cached photo lists are immutable: the cache never writes into one, so
+// Clone, MergeFrom and the entries a lookup returns share them instead of
+// copying. Put takes ownership of the list it is given, and callers must not
+// modify a list they have put or read from a cache.
 package metadata
 
 import (
+	"maps"
 	"math"
 	"sort"
 
@@ -153,14 +159,23 @@ func (c *Cache) delEntry(node model.NodeID) {
 	}
 }
 
+// over reports whether a cache of n entries and the given accounted bytes
+// breaks a configured cap.
+func (c *Cache) over(n int, bytes int64) bool {
+	return (c.maxEntries > 0 && n > c.maxEntries) || (c.maxBytes > 0 && bytes > c.maxBytes)
+}
+
+// evictsBefore reports whether an entry of node a stamped ta is evicted
+// before one of node b stamped tb: oldest snapshot first, ties toward the
+// higher node ID.
+func evictsBefore(ta float64, a model.NodeID, tb float64, b model.NodeID) bool {
+	return ta < tb || (ta == tb && a > b)
+}
+
 // evict enforces the configured caps by dropping oldest-snapshot entries
 // (never the command center's).
 func (c *Cache) evict() {
-	over := func() bool {
-		return (c.maxEntries > 0 && len(c.entries) > c.maxEntries) ||
-			(c.maxBytes > 0 && c.bytes > c.maxBytes)
-	}
-	for over() {
+	for c.over(len(c.entries), c.bytes) {
 		victim := model.NodeID(0)
 		found := false
 		var oldest float64
@@ -168,7 +183,7 @@ func (c *Cache) evict() {
 			if node.IsCommandCenter() {
 				continue
 			}
-			if !found || e.Timestamp < oldest || (e.Timestamp == oldest && node > victim) {
+			if !found || evictsBefore(e.Timestamp, node, oldest, victim) {
 				victim, oldest, found = node, e.Timestamp, true
 			}
 		}
@@ -179,63 +194,118 @@ func (c *Cache) evict() {
 	}
 }
 
-// Put stores a snapshot, keeping the newer of the existing and incoming
-// entries. Command-center entries are merged by union (the command center
-// never drops photos, so any two snapshots of it are consistent).
-func (c *Cache) Put(e Entry) {
+// Changes reports whether Put(e) would change the cache: its entries or its
+// byte account. It is false when e is the owner's own entry; when e is not
+// newer than the cached entry of its node; when e is a command-center
+// snapshot whose merge adds no photo, no newer timestamp, and neither
+// reorders nor deduplicates the cached list; and when e is a new entry
+// that eviction would drop again at once. Put starts by asking it, so the
+// two cannot disagree.
+func (c *Cache) Changes(e Entry) bool {
 	if e.Node == c.owner {
-		return // a node does not cache itself
+		return false // a node does not cache itself
 	}
 	old, ok := c.entries[e.Node]
 	switch {
 	case !ok:
-		c.setEntry(cloneEntry(e))
+		return !c.evictsOnArrival(e)
 	case e.Node.IsCommandCenter():
-		c.setEntry(mergeCC(old, e))
-	case e.Timestamp > old.Timestamp:
-		c.setEntry(cloneEntry(e))
+		return ccMergeChanges(old, e)
 	default:
+		return e.Timestamp > old.Timestamp
+	}
+}
+
+// evictsOnArrival reports whether storing a new entry e would break a cap
+// and make e itself the first eviction victim, leaving the cache as it was.
+func (c *Cache) evictsOnArrival(e Entry) bool {
+	if e.Node.IsCommandCenter() || !c.over(len(c.entries)+1, c.bytes+entrySize(e)) {
+		return false
+	}
+	for node, o := range c.entries {
+		if !node.IsCommandCenter() && !evictsBefore(e.Timestamp, e.Node, o.Timestamp, node) {
+			return false
+		}
+	}
+	return true
+}
+
+// ccMergeChanges reports whether merging command-center snapshot e into
+// the cached one changes it. The merge zeroes λ and p, keeps the later
+// timestamp, and unions the lists, so it changes nothing only when the
+// cached entry already has zero λ and p and the later timestamp, lists
+// distinct IDs, and holds every ID of e.
+func ccMergeChanges(old, e Entry) bool {
+	if old.Lambda != 0 || old.P != 0 ||
+		math.Float64bits(math.Max(old.Timestamp, e.Timestamp)) != math.Float64bits(old.Timestamp) {
+		return true
+	}
+	held := make(map[model.PhotoID]bool, len(old.Photos))
+	for _, p := range old.Photos {
+		if held[p.ID] {
+			return true // the merge would deduplicate the cached list
+		}
+		held[p.ID] = true
+	}
+	for _, p := range e.Photos {
+		if !held[p.ID] {
+			return true
+		}
+	}
+	return false
+}
+
+// Put stores a snapshot, keeping the newer of the existing and incoming
+// entries. Command-center entries are merged by union (the command center
+// never drops photos, so any two snapshots of it are consistent). Put
+// takes ownership of e.Photos: the cache may keep the list and share it
+// with clones, so the caller must not modify it afterwards.
+func (c *Cache) Put(e Entry) {
+	if !c.Changes(e) {
 		return
 	}
+	if old, ok := c.entries[e.Node]; ok && e.Node.IsCommandCenter() {
+		e = Entry{
+			Node:      model.CommandCenter,
+			Photos:    ccUnion(old.Photos, e.Photos),
+			Timestamp: math.Max(old.Timestamp, e.Timestamp),
+		}
+	}
+	c.setEntry(e)
 	c.evict()
 }
 
-func cloneEntry(e Entry) Entry {
-	e.Photos = e.Photos.Clone()
-	return e
-}
-
-// mergeCC unions two command-center snapshots.
-func mergeCC(a, b Entry) Entry {
-	out := Entry{
-		Node:      model.CommandCenter,
-		Timestamp: math.Max(a.Timestamp, b.Timestamp),
-	}
-	seen := make(map[model.PhotoID]bool, len(a.Photos)+len(b.Photos))
-	for _, l := range []model.PhotoList{a.Photos, b.Photos} {
+// ccUnion unions two command-center photo lists: a's photos, then b's,
+// each ID once. When the union is a itself (a lists distinct IDs and b
+// adds none) it returns a, shared; otherwise a fresh list, so a shared
+// backing array is never written even when it has spare capacity.
+func ccUnion(a, b model.PhotoList) model.PhotoList {
+	seen := make(map[model.PhotoID]bool, len(a)+len(b))
+	out := make(model.PhotoList, 0, len(a)+len(b))
+	add := func(l model.PhotoList) {
 		for _, p := range l {
 			if !seen[p.ID] {
 				seen[p.ID] = true
-				out.Photos = append(out.Photos, p)
+				out = append(out, p)
 			}
 		}
+	}
+	add(a)
+	distinct := len(out) == len(a)
+	add(b)
+	if distinct && len(out) == len(a) {
+		return a
 	}
 	return out
 }
 
-// Clone returns a deep copy of the cache: same owner, threshold, limits,
-// and entries (photo lists copied), sharing no mutable state with the
-// original.
+// Clone returns a copy of the cache: same owner, threshold, limits, and
+// entries. The immutable photo lists are shared, not copied; no mutation
+// of either cache is visible in the other.
 func (c *Cache) Clone() *Cache {
-	out := &Cache{
-		owner: c.owner, pthld: c.pthld,
-		maxEntries: c.maxEntries, maxBytes: c.maxBytes, bytes: c.bytes,
-		entries: make(map[model.NodeID]Entry, len(c.entries)),
-	}
-	for node, e := range c.entries {
-		out.entries[node] = cloneEntry(e)
-	}
-	return out
+	out := *c
+	out.entries = maps.Clone(c.entries)
+	return &out
 }
 
 // Get returns the cached entry for a node, valid or not.
@@ -294,8 +364,8 @@ func (c *Cache) ValidEntries(now float64) []Entry {
 }
 
 // MergeFrom gossips another cache into this one: every entry of other is
-// Put into c. This propagates command-center acknowledgements (and
-// third-party snapshots) through the DTN.
+// Put into c, sharing its photo list. This propagates command-center
+// acknowledgements (and third-party snapshots) through the DTN.
 func (c *Cache) MergeFrom(other *Cache) {
 	if other == nil {
 		return

@@ -115,14 +115,19 @@ func TestCachePutKeepsNewer(t *testing.T) {
 	}
 }
 
-func TestCachePutClones(t *testing.T) {
+// TestCachePutTakesOwnership pins the sharing contract: Put keeps the
+// caller's list, and Clone and MergeFrom share it rather than copy it.
+func TestCachePutTakesOwnership(t *testing.T) {
 	c := NewCache(1, 0.8)
 	photos := model.PhotoList{photoOf(2, 0)}
 	c.Put(Entry{Node: 2, Timestamp: 10, Photos: photos})
-	photos[0].Size = 1
-	e, _ := c.Get(2)
-	if e.Photos[0].Size == 1 {
-		t.Fatal("cache aliases caller's slice")
+	merged := NewCache(3, 0.8)
+	merged.MergeFrom(c)
+	for name, cache := range map[string]*Cache{"put": c, "clone": c.Clone(), "merge": merged} {
+		e, _ := cache.Get(2)
+		if len(e.Photos) != 1 || &e.Photos[0] != &photos[0] {
+			t.Errorf("%s: cached list does not share the put list", name)
+		}
 	}
 }
 

@@ -206,7 +206,8 @@ type peerState struct {
 	table *prophet.Table
 }
 
-// clone deep-copies the protocol state for a session snapshot.
+// clone copies the protocol state for a session snapshot. The copies share
+// nothing mutable; the metadata cache's immutable photo lists are shared.
 func (st peerState) clone() peerState {
 	return peerState{
 		store: st.store.Clone(),

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"photodtn/internal/guard"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 	fsm "photodtn/internal/peer/session"
 	"photodtn/internal/selection"
@@ -23,7 +24,7 @@ import (
 var ErrConflict = errors.New("peer: concurrent commit conflict")
 
 // session is one contact's private state. It is created under the peer
-// lock (beginSession) with a deep clone of the protocol state and a few
+// lock (beginSession) with a private clone of the protocol state and a few
 // scalars, then runs the whole wire exchange without any peer lock: every
 // protocol decision — metadata validity, the joint selection, transfer
 // want-lists — reads and writes the clone. Mutations are double-entry: each
@@ -429,19 +430,22 @@ func (s *session) checkMetadata(md wire.Metadata, session float64) error {
 }
 
 // absorbMetadata stores the peer's snapshot and gossip, returning the
-// peer's own collection.
+// peer's own collection. An entry that would leave the session's cache
+// unchanged is not recorded: it costs the commit and the journal nothing.
 func (s *session) absorbMetadata(h wire.Hello, md wire.Metadata, session float64) (model.PhotoList, error) {
 	var peerPhotos model.PhotoList
 	var buf []byte // record copies its payload, so one encoding buffer serves every entry
 	for i, e := range md.Entries {
-		entry := wire.MetaEntry{
-			Node: e.Node, Lambda: e.Lambda, P: e.P, Timestamp: e.Timestamp, Photos: e.Photos,
-		}
 		if i == 0 && e.Node == h.Node {
 			peerPhotos = e.Photos
-			entry.Timestamp = session
+			e.Timestamp = session
 		}
-		buf = wire.AppendMetaEntry(buf[:0], entry)
+		if !s.st.cache.Changes(metadata.Entry{
+			Node: e.Node, Lambda: e.Lambda, P: e.P, Timestamp: e.Timestamp, Photos: e.Photos,
+		}) {
+			continue
+		}
+		buf = wire.AppendMetaEntry(buf[:0], e)
 		if err := s.record(subMetaPut, buf); err != nil {
 			return nil, err
 		}

@@ -178,7 +178,9 @@ func SelectForUpload(fpc *FootprintCache, cfg SelectionConfig, ccPhotos, nodePho
 
 // Metadata management (§III-B) and PROPHET.
 type (
-	// MetadataCache is a node's knowledge about other nodes' photos.
+	// MetadataCache is a node's knowledge about other nodes' photos. Its
+	// photo lists are immutable and shared: Put takes ownership of the
+	// list it is given.
 	MetadataCache = metadata.Cache
 	// MetadataEntry is one cached snapshot.
 	MetadataEntry = metadata.Entry
