@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race race-repeat soak-short chaos byzantine perfbench-smoke bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
+.PHONY: tier1 build vet test race race-repeat soak-short chaos byzantine perfbench-smoke bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo figures-diff
 
 # tier1 is the merge gate: everything must pass before a change lands.
 tier1: build vet test race byzantine soak-short perfbench-smoke bench-short fuzz-short bench-diff
@@ -97,6 +97,28 @@ bench-diff:
 	$(GO) run ./cmd/benchjson -diff -threshold 1.6 BENCH_engine.json .bench_engine_new.json
 	@rm -f .bench_selection_new.json .bench_engine_new.json
 	@echo "bench-diff: no regressions"
+
+# figures-diff builds photodtn-experiments at $(BASE) (any git revision)
+# and from this checkout, regenerates every quick-mode report with both
+# (-exp all at seeds 1-3; "all" includes the faults, extended and ablations
+# figures), and fails on any byte difference: a speedup must leave the paper
+# figures byte-identical. The base tree is a git archive in a temporary
+# directory, so the repository's git state is never touched. About 2 min.
+BASE ?= main
+figures-diff:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	$(GO) -C "$$tmp/base" build -o "$$tmp/base-exp" ./cmd/photodtn-experiments; \
+	$(GO) build -o "$$tmp/head-exp" ./cmd/photodtn-experiments; \
+	for seed in 1 2 3; do \
+		"$$tmp/base-exp" -exp all -seed $$seed -quick -runs 2 > "$$tmp/base.txt"; \
+		"$$tmp/head-exp" -exp all -seed $$seed -quick -runs 2 > "$$tmp/head.txt"; \
+		if ! cmp -s "$$tmp/base.txt" "$$tmp/head.txt"; then \
+			echo "figures-diff: seed $$seed reports differ from $(BASE):"; \
+			diff "$$tmp/base.txt" "$$tmp/head.txt" | head -40; exit 1; \
+		fi; \
+		echo "figures-diff: -exp all -seed $$seed -quick -runs 2 identical to $(BASE)"; \
+	done
 
 # bench-short is the tier-1 smoke pass: every benchmark must run (a single
 # iteration) without failing; timings are not meaningful.

@@ -58,6 +58,7 @@ type nodeState struct {
 	cache *metadata.Cache
 	rate  *metadata.RateEstimator
 	table *prophet.Table
+	evict evictHeap
 }
 
 // Scheme is the framework as a sim.Scheme. Create it with New.
@@ -131,7 +132,9 @@ func (s *Scheme) soloCoverage(p model.Photo) coverage.Coverage {
 
 // OnPhoto implements sim.Scheme. A newly taken photo is stored if it fits;
 // when the storage is full, the photos with the least standalone coverage
-// (including possibly the new one) are evicted until it fits.
+// (including possibly the new one) are evicted until it fits. "Least" is
+// the exact (Point, Aspect, ID) order of evictKey, so each eviction is one
+// O(log n) pop from the node's heap instead of a scan of the storage.
 func (s *Scheme) OnPhoto(node model.NodeID, p model.Photo) {
 	if s.cfg.MinQuality > 0 && p.Quality > 0 && p.Quality < s.cfg.MinQuality {
 		return // unqualified photo: filtered before the model sees it
@@ -140,30 +143,114 @@ func (s *Scheme) OnPhoto(node model.NodeID, p model.Photo) {
 	if p.Size > st.Capacity() {
 		return
 	}
+	ns := s.nodes[node]
+	key := s.evictKey(p)
 	for p.Size > st.Free() {
-		victim := s.lowestSolo(st, p)
-		if victim == p.ID {
+		// The storage holds a photo, so the heap holds a live entry. A
+		// stale minimum is popped like a victim (Remove is a no-op for it):
+		// the live entries all order after it, so a newcomer below it is
+		// below them too.
+		victim := ns.evict[0]
+		if key.less(victim) {
 			return // the new photo is the least valuable: reject it
 		}
-		st.Remove(victim)
+		ns.evict.pop()
+		st.Remove(victim.id)
 	}
 	_ = st.Add(p) // fits by construction; duplicate IDs cannot occur
+	s.stored(ns, st, key)
 }
 
-// lowestSolo returns the stored photo (or the incoming one) with the least
-// standalone coverage, ties broken by ID for determinism. It scans the
-// storage in place (no copy): the minimum is order-independent, and the
-// caller only mutates the storage after the scan returns.
-func (s *Scheme) lowestSolo(st *sim.Storage, incoming model.Photo) model.PhotoID {
-	bestID := incoming.ID
-	bestCov := s.soloCoverage(incoming)
-	for _, q := range st.Photos() {
-		c := s.soloCoverage(q)
-		if c.Less(bestCov) || (c.Cmp(bestCov) == 0 && q.ID < bestID) {
-			bestID, bestCov = q.ID, c
-		}
+// evictKey is a photo's capture-time eviction key: its standalone coverage
+// and ID. Keys compare exactly, Point then Aspect then ID. coverage.Cmp's
+// epsilon is not transitive, so it could not order a heap.
+type evictKey struct {
+	point, aspect float64
+	id            model.PhotoID
+}
+
+func (s *Scheme) evictKey(p model.Photo) evictKey {
+	c := s.soloCoverage(p)
+	return evictKey{point: c.Point, aspect: c.Aspect, id: p.ID}
+}
+
+func (k evictKey) less(o evictKey) bool {
+	switch {
+	case k.point != o.point:
+		return k.point < o.point
+	case k.aspect != o.aspect:
+		return k.aspect < o.aspect
+	default:
+		return k.id < o.id
 	}
-	return bestID
+}
+
+// stored records that the photo keyed k is now stored at the node. Every
+// stored photo has an entry in its node's heap. Entries of photos that
+// left the storage (delivered, reallocated away, lost in a crash) go stale
+// in place; once they outnumber the live ones the heap is rebuilt from the
+// storage. An ID removed and stored again may have two entries: both are
+// live until it leaves, and both go stale then.
+func (s *Scheme) stored(ns *nodeState, st *sim.Storage, k evictKey) {
+	ns.evict.push(k)
+	if len(ns.evict) <= 2*st.Len() {
+		return
+	}
+	ns.evict = ns.evict[:0]
+	for _, q := range st.Photos() {
+		ns.evict = append(ns.evict, s.evictKey(q))
+	}
+	ns.evict.init()
+}
+
+// evictHeap is a node's min-heap of eviction keys. It is a typed slice
+// heap: container/heap would box every push into an allocation.
+type evictHeap []evictKey
+
+func (h *evictHeap) push(k evictKey) {
+	*h = append(*h, k)
+	h.up(len(*h) - 1)
+}
+
+func (h *evictHeap) pop() {
+	n := len(*h) - 1
+	(*h)[0] = (*h)[n]
+	*h = (*h)[:n]
+	h.down(0)
+}
+
+func (h evictHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h evictHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].less(h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (h evictHeap) down(i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l].less(h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].less(h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // OnContact implements sim.Scheme.
@@ -310,6 +397,7 @@ func (s *Scheme) realize(sess *sim.Session, node model.NodeID, sel model.PhotoLi
 		if err := sess.Transfer(node, p); err != nil {
 			break // budget gone (ErrBudget) — the rest of the plan is moot
 		}
+		s.stored(s.nodes[node], st, s.evictKey(p))
 	}
 }
 

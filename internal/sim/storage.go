@@ -23,15 +23,20 @@ var (
 
 // Storage is a node's photo store with a byte capacity. It also tracks a
 // per-photo copy counter for spray-based schemes (unused counters stay 0).
-// Storage is not safe for concurrent use.
+// Storage is not safe for concurrent use, and it needs a single owner even
+// for reads: Photos, List and Clone may compact it in place.
 //
 // The collection is kept as an insertion-ordered slice plus an ID index:
-// schemes walk the collection at every contact (and eviction policies scan
-// it per admitted photo), so iteration must not pay a sort or a map walk.
+// schemes walk the collection at every contact, so iteration must not pay a
+// sort or a map walk. Remove is O(1): it drops the photo from the index and
+// leaves a hole in the slice. Slot i is live iff index[list[i].ID] == i.
+// Holes are compacted out, in FIFO order, before Photos, List and Clone
+// return, once they exceed half the slice, and when Add finds the slice
+// full.
 type Storage struct {
 	capacity int64
 	used     int64
-	list     model.PhotoList // stored photos in insertion (FIFO) order
+	list     model.PhotoList // insertion (FIFO) order, with holes
 	index    map[model.PhotoID]int
 	copies   map[model.PhotoID]int
 }
@@ -55,7 +60,7 @@ func (s *Storage) Used() int64 { return s.used }
 func (s *Storage) Free() int64 { return s.capacity - s.used }
 
 // Len returns the number of stored photos.
-func (s *Storage) Len() int { return len(s.list) }
+func (s *Storage) Len() int { return len(s.index) }
 
 // Has reports whether the photo is stored.
 func (s *Storage) Has(id model.PhotoID) bool {
@@ -81,6 +86,9 @@ func (s *Storage) Add(p model.Photo) error {
 	if p.Size > s.Free() {
 		return fmt.Errorf("%w: need %d bytes, have %d", ErrNoSpace, p.Size, s.Free())
 	}
+	if len(s.list) == cap(s.list) {
+		s.compact() // reuse holes before growing the slice
+	}
 	s.index[p.ID] = len(s.list)
 	s.list = append(s.list, p)
 	s.used += p.Size
@@ -95,13 +103,30 @@ func (s *Storage) Remove(id model.PhotoID) {
 		return
 	}
 	s.used -= s.list[i].Size
-	copy(s.list[i:], s.list[i+1:])
-	s.list = s.list[:len(s.list)-1]
-	for j := i; j < len(s.list); j++ {
-		s.index[s.list[j].ID] = j
-	}
 	delete(s.index, id)
 	delete(s.copies, id)
+	if i == len(s.list)-1 {
+		s.list = s.list[:i]
+	}
+	if 2*len(s.index) < len(s.list) {
+		s.compact()
+	}
+}
+
+// compact squeezes the holes out of the slice, keeping FIFO order.
+func (s *Storage) compact() {
+	if len(s.list) == len(s.index) {
+		return
+	}
+	n := 0
+	for i, p := range s.list {
+		if j, ok := s.index[p.ID]; ok && j == i {
+			s.list[n] = p
+			s.index[p.ID] = n
+			n++
+		}
+	}
+	s.list = s.list[:n]
 }
 
 // Copies returns the spray copy counter of a photo (0 if untracked).
@@ -117,6 +142,7 @@ func (s *Storage) SetCopies(id model.PhotoID, n int) {
 // List returns a copy of the stored photos ordered by insertion (FIFO
 // order). The copy is safe to hold while mutating the storage.
 func (s *Storage) List() model.PhotoList {
+	s.compact()
 	out := make(model.PhotoList, len(s.list))
 	copy(out, s.list)
 	return out
@@ -125,7 +151,10 @@ func (s *Storage) List() model.PhotoList {
 // Photos returns the stored photos in insertion (FIFO) order without
 // copying. The slice is read-only and is invalidated by any mutation of the
 // storage — use List when removing or adding while iterating.
-func (s *Storage) Photos() model.PhotoList { return s.list }
+func (s *Storage) Photos() model.PhotoList {
+	s.compact()
+	return s.list
+}
 
 // ReplaceAll atomically replaces the whole collection (the reallocation
 // semantics of §III-D). It fails with ErrNoSpace if the new collection does
@@ -169,6 +198,7 @@ func (s *Storage) ReplaceAll(photos model.PhotoList) error {
 // and copy counters, sharing no mutable state with the original. Contact
 // sessions plan against a clone and commit the result back (internal/peer).
 func (s *Storage) Clone() *Storage {
+	s.compact()
 	c := &Storage{
 		capacity: s.capacity,
 		used:     s.used,

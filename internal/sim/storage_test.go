@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"photodtn/internal/model"
@@ -172,20 +173,266 @@ func TestStorageReplaceAllPreservesCopies(t *testing.T) {
 func TestStorageCloneIndependent(t *testing.T) {
 	st := NewStorage(100)
 	p := photoN(1, 0, 4)
-	if err := st.Add(p); err != nil {
-		t.Fatal(err)
+	for i := uint32(0); i < 4; i++ {
+		if err := st.Add(photoN(1, i, 4)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st.SetCopies(p.ID, 3)
+	st.Remove(model.MakePhotoID(1, 1)) // leaves a hole
 
 	c := st.Clone()
 	if !c.Has(p.ID) || c.Used() != st.Used() || c.Copies(p.ID) != 3 {
 		t.Fatalf("clone state differs: used=%d copies=%d", c.Used(), c.Copies(p.ID))
 	}
+	if len(c.list) != 3 || &c.list[0] == &st.list[0] {
+		t.Fatal("clone must hold a fresh, compact slice")
+	}
 	if err := c.Add(photoN(1, 1, 4)); err != nil {
 		t.Fatal(err)
 	}
 	c.SetCopies(p.ID, 1)
-	if st.Len() != 1 || st.Copies(p.ID) != 3 {
+	c.Remove(model.MakePhotoID(1, 2))
+	st.Remove(model.MakePhotoID(1, 3))
+	if st.Len() != 2 || st.Copies(p.ID) != 3 || st.Has(model.MakePhotoID(1, 1)) || !st.Has(model.MakePhotoID(1, 2)) {
 		t.Fatal("mutating the clone leaked into the original")
+	}
+	if c.Len() != 3 || !c.Has(model.MakePhotoID(1, 3)) {
+		t.Fatal("mutating the original leaked into the clone")
+	}
+}
+
+// fifoModel is the naive storage the property test checks against: a
+// plain insertion-ordered list, shifted on every removal.
+type fifoModel struct {
+	capacity int64
+	list     model.PhotoList
+	copies   map[model.PhotoID]int
+}
+
+func (m *fifoModel) find(id model.PhotoID) int {
+	for i, p := range m.list {
+		if p.ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *fifoModel) used() (n int64) {
+	for _, p := range m.list {
+		n += p.Size
+	}
+	return n
+}
+
+func (m *fifoModel) add(p model.Photo) error {
+	switch {
+	case m.find(p.ID) >= 0:
+		return ErrDuplicate
+	case p.Size > m.capacity-m.used():
+		return ErrNoSpace
+	}
+	m.list = append(m.list, p)
+	return nil
+}
+
+func (m *fifoModel) remove(id model.PhotoID) {
+	if i := m.find(id); i >= 0 {
+		m.list = append(m.list[:i:i], m.list[i+1:]...)
+		delete(m.copies, id)
+	}
+}
+
+func (m *fifoModel) replaceAll(photos model.PhotoList) error {
+	var next model.PhotoList
+	var total int64
+	for _, p := range photos {
+		if next.Contains(p.ID) {
+			continue
+		}
+		next = append(next, p)
+		total += p.Size
+	}
+	if total > m.capacity {
+		return ErrNoSpace
+	}
+	copies := make(map[model.PhotoID]int)
+	for _, p := range next {
+		if n, ok := m.copies[p.ID]; ok {
+			copies[p.ID] = n
+		}
+	}
+	m.list, m.copies = next, copies
+	return nil
+}
+
+func (m *fifoModel) clone() *fifoModel {
+	c := &fifoModel{capacity: m.capacity, list: append(model.PhotoList(nil), m.list...),
+		copies: make(map[model.PhotoID]int, len(m.copies))}
+	for id, n := range m.copies {
+		c.copies[id] = n
+	}
+	return c
+}
+
+// checkModel compares a storage with the model without compacting it: the
+// live slots, walked in slice order, must be the model's list.
+func checkModel(t *testing.T, step int, op string, st *Storage, m *fifoModel, pool model.PhotoList) {
+	t.Helper()
+	var live model.PhotoList
+	for i, p := range st.list {
+		if j, ok := st.index[p.ID]; ok && j == i {
+			live = append(live, p)
+		}
+	}
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("step %d (%s): "+format, append([]any{step, op}, args...)...)
+	}
+	if len(live) != len(m.list) || len(live) != len(st.index) {
+		fail("live slots %v, index %d, model %v", live.IDs(), len(st.index), m.list.IDs())
+	}
+	for i := range live {
+		if live[i] != m.list[i] {
+			fail("slot %d holds %v, model %v", i, live[i].ID, m.list[i].ID)
+		}
+	}
+	if len(st.list) > 2*st.Len() {
+		fail("%d holes in a list of %d", len(st.list)-st.Len(), len(st.list))
+	}
+	if st.Len() != len(m.list) || st.Used() != m.used() || st.Free() != m.capacity-m.used() {
+		fail("len %d used %d free %d, model len %d used %d", st.Len(), st.Used(), st.Free(), len(m.list), m.used())
+	}
+	for _, p := range pool {
+		i := m.find(p.ID)
+		got, ok := st.Get(p.ID)
+		if st.Has(p.ID) != (i >= 0) || ok != (i >= 0) || ok && got != m.list[i] {
+			fail("photo %v: has %v get %v, model slot %d", p.ID, st.Has(p.ID), ok, i)
+		}
+		if st.Copies(p.ID) != m.copies[p.ID] {
+			fail("photo %v: copies %d, model %d", p.ID, st.Copies(p.ID), m.copies[p.ID])
+		}
+	}
+}
+
+// TestStorageMatchesFIFOModel runs random operation sequences against the
+// storage and the naive model and compares them after every step.
+func TestStorageMatchesFIFOModel(t *testing.T) {
+	var pool model.PhotoList
+	for i := uint32(0); i < 12; i++ {
+		pool = append(pool, photoN(model.NodeID(1+i%3), i, int64(1+i%5)))
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := NewStorage(20)
+		m := &fifoModel{capacity: 20, copies: make(map[model.PhotoID]int)}
+		pick := func() model.Photo { return pool[rng.Intn(len(pool))] }
+		for step := 0; step < 400; step++ {
+			var op string
+			switch r := rng.Intn(20); {
+			case r < 7:
+				op = "add"
+				p := pick()
+				if err, want := st.Add(p), m.add(p); !errors.Is(err, want) || (err == nil) != (want == nil) {
+					t.Fatalf("seed %d step %d: Add(%v) = %v, model %v", seed, step, p.ID, err, want)
+				}
+			case r < 11:
+				op = "remove"
+				id := pick().ID
+				st.Remove(id)
+				m.remove(id)
+			case r < 13:
+				op = "remove tail"
+				if len(m.list) > 0 {
+					id := m.list[len(m.list)-1].ID
+					st.Remove(id)
+					m.remove(id)
+				}
+			case r < 14:
+				op = "replace all"
+				var photos model.PhotoList
+				for n := rng.Intn(6); n > 0; n-- {
+					photos = append(photos, pick())
+				}
+				if err, want := st.ReplaceAll(photos), m.replaceAll(photos); (err == nil) != (want == nil) {
+					t.Fatalf("seed %d step %d: ReplaceAll = %v, model %v", seed, step, err, want)
+				}
+			case r < 15:
+				op = "set copies"
+				p, n := pick(), rng.Intn(8)
+				st.SetCopies(p.ID, n)
+				if m.find(p.ID) >= 0 {
+					m.copies[p.ID] = n
+				}
+			case r < 16:
+				op = "photos"
+				if got := st.Photos(); len(got) != len(m.list) || len(st.list) != st.Len() {
+					t.Fatalf("seed %d step %d: Photos kept holes: %d of %d", seed, step, len(st.list), st.Len())
+				}
+			case r < 17:
+				op = "list"
+				if got := st.List(); len(got) > 0 {
+					got[0].Size = -1 // the copy is the caller's
+				}
+			default:
+				op = "clone"
+				c, mc := st.Clone(), m.clone()
+				checkModel(t, step, "clone", c, mc, pool)
+				for _, p := range pool { // churn the clone; the source must not see it
+					c.Remove(p.ID)
+					_ = c.Add(p)
+					c.SetCopies(p.ID, 99)
+				}
+				checkModel(t, step, op, st, m, pool)
+				if rng.Intn(2) == 0 {
+					st = st.Clone() // carry on with a clone
+				}
+			}
+			checkModel(t, step, op, st, m, pool)
+		}
+	}
+}
+
+// TestStorageCompactionThresholds pins when holes are squeezed out: in
+// Remove once they outnumber the live slots, and in Add when the slice is
+// full, so Add never grows the slice while it has holes. Removing the tail
+// slot truncates the slice instead of leaving a hole.
+func TestStorageCompactionThresholds(t *testing.T) {
+	st := NewStorage(100)
+	for i := uint32(0); i < 5; i++ {
+		_ = st.Add(photoN(1, i, 1))
+	}
+	st.Remove(model.MakePhotoID(1, 4))
+	if len(st.list) != 4 {
+		t.Fatalf("tail removal: list len %d, want 4", len(st.list))
+	}
+	st.Remove(model.MakePhotoID(1, 0))
+	st.Remove(model.MakePhotoID(1, 1))
+	if len(st.list) != 4 {
+		t.Fatalf("two holes in four slots: list len %d, want 4 (no compaction yet)", len(st.list))
+	}
+	st.Remove(model.MakePhotoID(1, 2))
+	if len(st.list) != 1 || st.list[0].ID != model.MakePhotoID(1, 3) {
+		t.Fatalf("three holes in four slots: list %v, want compacted to one", st.list.IDs())
+	}
+
+	st = NewStorage(100)
+	for i := uint32(0); i < 8; i++ {
+		_ = st.Add(photoN(1, i, 1))
+	}
+	for len(st.list) < cap(st.list) {
+		_ = st.Add(photoN(2, uint32(len(st.list)), 1))
+	}
+	full := cap(st.list)
+	st.Remove(model.MakePhotoID(1, 0)) // one hole, under the Remove threshold
+	if err := st.Add(photoN(3, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(st.list) != full || len(st.list) != full {
+		t.Fatalf("Add at capacity with a hole: len %d cap %d, want both %d", len(st.list), cap(st.list), full)
+	}
+	if got := st.List(); got[0].ID != model.MakePhotoID(1, 1) || got[len(got)-1].ID != model.MakePhotoID(3, 0) {
+		t.Fatalf("compaction broke FIFO order: %v", got.IDs())
 	}
 }
