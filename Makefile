@@ -24,13 +24,13 @@ race:
 	$(GO) test -race ./...
 
 # race-repeat is the focused -count=2 race pass over the packages with the
-# most scheduling-dependent concurrency: incremental selection and the
-# coverage cache (session reuse, parallel gain scans), the metadata cache
-# (photo lists shared between a peer's state and its sessions' clones), the
-# live peer and its session FSM (commit races, admission, the pipelined
-# chunk-ack reader), the wire codec and reassembly store, and the guard's
-# per-peer accounting. The second run gives each interleaving another
-# chance to trip the detector. CI runs it as one job.
+# most scheduling-dependent concurrency: incremental selection and coverage
+# (session reuse, the shared footprint cache), the metadata cache (photo
+# lists shared between a peer's state and its sessions' clones), the live
+# peer and its session FSM (commit races, admission, the pipelined chunk-ack
+# reader), the wire codec and reassembly store, and the guard's per-peer
+# accounting. The second run gives each interleaving another chance to trip
+# the detector. CI runs it as one job.
 race-repeat:
 	$(GO) test -race -count=2 ./internal/selection/ ./internal/coverage/ ./internal/metadata/ ./internal/peer/... ./internal/wire/ ./internal/transfer/ ./internal/guard/
 
@@ -74,8 +74,8 @@ bench-runner:
 # bench regenerates the committed performance baselines: the selection
 # micro-benchmarks (construction / Gain / Commit / GreedyFill / stale
 # recompute at several scales) into BENCH_selection.json, and the
-# engine-level Table-I run (incremental vs from-scratch selection) into
-# BENCH_engine.json.
+# engine-level Table-I run and the slow-link transfer into BENCH_engine.json.
+# Each document records the CPU and GOMAXPROCS it was measured with.
 bench:
 	$(GO) test -run='^$$' -bench=BenchmarkEvaluator -benchmem -benchtime=500ms ./internal/selection/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_selection.json

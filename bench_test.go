@@ -287,11 +287,9 @@ func BenchmarkSimOurSchemeShortRun(b *testing.B) {
 // settings (MIT-like trace, default storage, workload, gateways) over a
 // fixed 120-hour prefix. The world — trace, map, photo workload — is built
 // once outside the timer, so the measurement isolates the engine and the
-// per-contact selection machinery that dominates it. The two variants pin
-// the incremental-selection ablation: "incremental" is the default
-// dirty-PoI/cull/session path, "fromscratch" disables it and re-walks every
-// candidate residual in full (the pre-incremental behaviour). Selections,
-// and therefore results, are identical; only the work per contact differs.
+// per-contact selection machinery that dominates it. The sub-benchmark is
+// named "incremental" after the selection path it runs, which keeps the
+// committed BENCH_engine.json row comparable.
 func BenchmarkEngineTable1(b *testing.B) {
 	p := experiments.DefaultParams(experiments.MIT)
 	p.SpanHours = 120
@@ -315,13 +313,6 @@ func BenchmarkEngineTable1(b *testing.B) {
 	}
 	b.Run("incremental", func(b *testing.B) {
 		runWith(b, func() sim.Scheme { return core.New(core.DefaultConfig()) })
-	})
-	b.Run("fromscratch", func(b *testing.B) {
-		runWith(b, func() sim.Scheme {
-			cc := core.DefaultConfig()
-			cc.Selection.DisableIncremental = true
-			return core.New(cc)
-		})
 	})
 }
 

@@ -9,9 +9,13 @@
 //
 // In the default mode the input is read from stdin; the environment header
 // lines (goos, goarch, pkg, cpu) and every benchmark result line are parsed,
-// everything else is ignored. Output is indented JSON sorted in input order.
+// everything else is ignored. GOMAXPROCS is read from the -N suffix of the
+// benchmark names (go test omits it at 1). Output is indented JSON sorted in
+// input order.
 //
-// In -diff mode two previously converted documents are compared: for every
+// In -diff mode two previously converted documents are compared. Both
+// documents' cpu and gomaxprocs are printed first, with a mismatch flagged;
+// that note is informational and never gates. Then, for every
 // benchmark present in both, the new/old ratios of ns/op, B/op, and
 // allocs/op are printed, and the exit status is non-zero when any ns/op or
 // allocs/op ratio exceeds the threshold (a regression). The allocs gate
@@ -29,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -51,11 +56,14 @@ type Result struct {
 
 // Document is the full converted report.
 type Document struct {
-	GoOS       string   `json:"goos"`
-	GoArch     string   `json:"goarch"`
-	GoVersion  string   `json:"goversion"`
-	Pkg        string   `json:"pkg,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
+	GoOS      string `json:"goos"`
+	GoArch    string `json:"goarch"`
+	GoVersion string `json:"goversion"`
+	Pkg       string `json:"pkg,omitempty"`
+	CPU       string `json:"cpu,omitempty"`
+	// GOMAXPROCS is the benchmark run's -N name suffix; zero in documents
+	// written before it was recorded.
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -69,18 +77,39 @@ func main() {
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("-diff needs exactly two arguments: old.json new.json"))
 		}
-		if diffDocs(flag.Arg(0), flag.Arg(1), *threshold) {
+		if diffDocs(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold) {
 			os.Exit(1)
 		}
 		return
 	}
 
-	doc := Document{
-		GoOS:      runtime.GOOS,
-		GoArch:    runtime.GOARCH,
-		GoVersion: runtime.Version(),
+	doc, err := parseDoc(os.Stdin)
+	if err != nil {
+		fatal(err)
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	buf, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		fatal(err)
+	}
+	buf = append(buf, '\n')
+	if *out == "" {
+		os.Stdout.Write(buf)
+		return
+	}
+	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+		fatal(err)
+	}
+}
+
+// parseDoc converts `go test -bench` output into a document.
+func parseDoc(in io.Reader) (*Document, error) {
+	doc := &Document{
+		GoOS:       runtime.GOOS,
+		GoArch:     runtime.GOARCH,
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: 1,
+	}
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -96,28 +125,18 @@ func main() {
 		case strings.HasPrefix(line, "Benchmark"):
 			if r, ok := parseLine(line); ok {
 				doc.Benchmarks = append(doc.Benchmarks, r)
+				_, procs := trimProcs(strings.Fields(line)[0])
+				doc.GOMAXPROCS = max(doc.GOMAXPROCS, procs)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fatal(err)
+		return nil, err
 	}
 	if len(doc.Benchmarks) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found on stdin"))
+		return nil, fmt.Errorf("no benchmark lines found on stdin")
 	}
-
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	buf = append(buf, '\n')
-	if *out == "" {
-		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fatal(err)
-	}
+	return doc, nil
 }
 
 // parseLine parses one benchmark result line of the form
@@ -139,7 +158,8 @@ func parseLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{Name: trimProcs(f[0]), Iterations: iters}
+	name, _ := trimProcs(f[0])
+	r := Result{Name: name, Iterations: iters}
 	parsed := false
 	for i := 2; i+1 < len(f); i += 2 {
 		val, unit := f[i], f[i+1]
@@ -172,16 +192,18 @@ func parseLine(line string) (Result, bool) {
 	return r, parsed
 }
 
-// trimProcs strips the trailing -N GOMAXPROCS suffix from a benchmark name.
-func trimProcs(name string) string {
+// trimProcs strips the trailing -N GOMAXPROCS suffix from a benchmark name
+// and returns N, which is 1 when the suffix is absent.
+func trimProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], n
 }
 
 // allocSlack is the absolute allocs/op growth below which the allocs ratio
@@ -194,7 +216,7 @@ const allocSlack = 48
 // threshold (allocs additionally needs absolute growth beyond allocSlack).
 // Ratios are printed for every benchmark present in both documents;
 // one-sided benchmarks are listed but never gate.
-func diffDocs(oldPath, newPath string, threshold float64) (regressed bool) {
+func diffDocs(w io.Writer, oldPath, newPath string, threshold float64) (regressed bool) {
 	oldDoc, err := loadDoc(oldPath)
 	if err != nil {
 		fatal(err)
@@ -208,14 +230,16 @@ func diffDocs(oldPath, newPath string, threshold float64) (regressed bool) {
 		oldByName[r.Name] = r
 	}
 
-	fmt.Printf("%-60s %12s %12s %8s %8s %8s\n",
+	envLine(w, "cpu", oldDoc.CPU, newDoc.CPU)
+	envLine(w, "gomaxprocs", procsOf(oldDoc), procsOf(newDoc))
+	fmt.Fprintf(w, "%-60s %12s %12s %8s %8s %8s\n",
 		"benchmark", "old ns/op", "new ns/op", "ns", "B/op", "allocs")
 	seen := make(map[string]bool, len(newDoc.Benchmarks))
 	for _, nr := range newDoc.Benchmarks {
 		seen[nr.Name] = true
 		or, ok := oldByName[nr.Name]
 		if !ok {
-			fmt.Printf("%-60s %12s %12.0f %8s %8s %8s  (new)\n",
+			fmt.Fprintf(w, "%-60s %12s %12.0f %8s %8s %8s  (new)\n",
 				nr.Name, "-", nr.NsPerOp, "-", "-", "-")
 			continue
 		}
@@ -227,20 +251,46 @@ func diffDocs(oldPath, newPath string, threshold float64) (regressed bool) {
 			flag = "  REGRESSION"
 			regressed = true
 		}
-		fmt.Printf("%-60s %12.0f %12.0f %8s %8s %8s%s\n",
+		fmt.Fprintf(w, "%-60s %12.0f %12.0f %8s %8s %8s%s\n",
 			nr.Name, or.NsPerOp, nr.NsPerOp,
 			fmtRatio(nsRatio), fmtRatio(bRatio), fmtRatio(aRatio), flag)
 	}
 	for _, or := range oldDoc.Benchmarks {
 		if !seen[or.Name] {
-			fmt.Printf("%-60s %12.0f %12s %8s %8s %8s  (removed)\n",
+			fmt.Fprintf(w, "%-60s %12.0f %12s %8s %8s %8s  (removed)\n",
 				or.Name, or.NsPerOp, "-", "-", "-", "-")
 		}
 	}
 	if regressed {
-		fmt.Printf("\nregression: at least one ns/op or allocs/op ratio exceeds %.2f\n", threshold)
+		fmt.Fprintf(w, "\nregression: at least one ns/op or allocs/op ratio exceeds %.2f\n", threshold)
 	}
 	return regressed
+}
+
+// envLine prints one environment field of both documents ("?" when a
+// document does not record it) and flags a mismatch. Ratios across
+// machines or GOMAXPROCS settings measure the machine as much as the code;
+// the flag is a note for the reader and never gates.
+func envLine(w io.Writer, key, oldV, newV string) {
+	if oldV == "" {
+		oldV = "?"
+	}
+	if newV == "" {
+		newV = "?"
+	}
+	note := ""
+	if oldV != "?" && newV != "?" && oldV != newV {
+		note = "  (mismatch)"
+	}
+	fmt.Fprintf(w, "%-11s old %s, new %s%s\n", key+":", oldV, newV, note)
+}
+
+// procsOf formats a document's GOMAXPROCS, empty when it is not recorded.
+func procsOf(d *Document) string {
+	if d.GOMAXPROCS == 0 {
+		return ""
+	}
+	return strconv.Itoa(d.GOMAXPROCS)
 }
 
 // ratio returns new/old, or 1 when the old value is zero and the new one is

@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -101,16 +106,83 @@ func TestParseLine(t *testing.T) {
 }
 
 func TestTrimProcs(t *testing.T) {
-	tests := []struct{ in, want string }{
-		{"BenchmarkFoo-8", "BenchmarkFoo"},
-		{"BenchmarkFoo-128", "BenchmarkFoo"},
-		{"BenchmarkFoo", "BenchmarkFoo"},
-		{"BenchmarkFoo/sub=a-b-4", "BenchmarkFoo/sub=a-b"},
-		{"BenchmarkFoo-bar", "BenchmarkFoo-bar"},
+	tests := []struct {
+		in, want string
+		procs    int
+	}{
+		{"BenchmarkFoo-8", "BenchmarkFoo", 8},
+		{"BenchmarkFoo-128", "BenchmarkFoo", 128},
+		{"BenchmarkFoo", "BenchmarkFoo", 1},
+		{"BenchmarkFoo/sub=a-b-4", "BenchmarkFoo/sub=a-b", 4},
+		{"BenchmarkFoo-bar", "BenchmarkFoo-bar", 1},
 	}
 	for _, tc := range tests {
-		if got := trimProcs(tc.in); got != tc.want {
-			t.Errorf("trimProcs(%q) = %q, want %q", tc.in, got, tc.want)
+		if got, procs := trimProcs(tc.in); got != tc.want || procs != tc.procs {
+			t.Errorf("trimProcs(%q) = %q, %d, want %q, %d", tc.in, got, procs, tc.want, tc.procs)
+		}
+	}
+}
+
+func TestParseDocGOMAXPROCS(t *testing.T) {
+	tests := []struct {
+		name, in string
+		want     int
+	}{
+		{"suffixed", "cpu: Some CPU\nBenchmarkA-2 10 5 ns/op\nBenchmarkB/x-2 10 6 ns/op\nPASS\n", 2},
+		{"no suffix means 1", "BenchmarkA 10 5 ns/op\n", 1},
+	}
+	for _, tc := range tests {
+		doc, err := parseDoc(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if doc.GOMAXPROCS != tc.want {
+			t.Errorf("%s: GOMAXPROCS = %d, want %d", tc.name, doc.GOMAXPROCS, tc.want)
+		}
+		if doc.Benchmarks[0].Name != "BenchmarkA" {
+			t.Errorf("%s: name %q not trimmed", tc.name, doc.Benchmarks[0].Name)
+		}
+	}
+	if _, err := parseDoc(strings.NewReader("PASS\n")); err == nil {
+		t.Error("input without benchmark lines parsed")
+	}
+}
+
+func TestDiffPrintsEnvironment(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, doc Document) string {
+		buf, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	rows := []Result{{Name: "BenchmarkA", Iterations: 10, NsPerOp: 100}}
+	legacy := write("legacy.json", Document{CPU: "cpu A", Benchmarks: rows})
+	two := write("two.json", Document{CPU: "cpu A", GOMAXPROCS: 2, Benchmarks: rows})
+	eight := write("eight.json", Document{CPU: "cpu B", GOMAXPROCS: 8, Benchmarks: rows})
+
+	tests := []struct {
+		name, old, new string
+		want           []string
+	}{
+		{"match", two, two, []string{"cpu:        old cpu A, new cpu A\n", "gomaxprocs: old 2, new 2\n"}},
+		{"mismatch", two, eight, []string{"old cpu A, new cpu B  (mismatch)", "old 2, new 8  (mismatch)"}},
+		{"unrecorded", legacy, two, []string{"gomaxprocs: old ?, new 2\n"}},
+	}
+	for _, tc := range tests {
+		var out bytes.Buffer
+		if diffDocs(&out, tc.old, tc.new, 1.3) {
+			t.Errorf("%s: an environment difference gated the diff", tc.name)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out.String(), w) {
+				t.Errorf("%s: output lacks %q:\n%s", tc.name, w, out.String())
+			}
 		}
 	}
 }

@@ -99,13 +99,14 @@ func (s *Scheme) Unconstrained() bool { return false }
 // Init implements sim.Scheme.
 func (s *Scheme) Init(w *sim.World) {
 	s.w = w
-	s.cfg.Selection.Parallel = s.cfg.Selection.Parallel || w.ParallelSelection
 	s.solo = make(map[model.PhotoID]coverage.Coverage)
 	s.fpc = coverage.NewFootprintCache(w.Map)
 	s.sel = selection.NewSession()
 	o := w.Obs()
 	s.obsv = o
-	s.cfg.Selection.Metrics = selection.ObserverMetrics(o)
+	if o != nil {
+		s.cfg.Selection.Metrics = selection.ObserverMetrics(o)
+	}
 	s.cInvalidations = o.Counter("metadata.invalidations")
 	s.hTableAge = o.Histogram("prophet.table_age_sec")
 	s.fpc.SetMetrics(o.Counter("coverage.fp_cache_hits"), o.Counter("coverage.fp_cache_misses"))

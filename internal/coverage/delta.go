@@ -23,16 +23,12 @@ import (
 // Scenario weights are the outcome probabilities; Gain and Expected reduce
 // over scenarios in insertion order, so results are deterministic.
 //
-// A DeltaSet is not safe for concurrent mutation (AddScenario, AddResidual,
-// AddToScenario, Commit, Release). Between mutations, any number of
-// goroutines may call GainWith/GainResidual/CompileResidual concurrently
-// provided each uses its own GainScratch — the contract the parallel gain
-// scan relies on.
+// A DeltaSet is not safe for concurrent use: queries share its scratch.
 type DeltaSet struct {
 	base  *State
 	scens []scenOverlay
-	sc    GainScratch // scratch for the serial entry points
-	commn Residual    // reusable residual for Commit/AddToScenario
+	sc    gainScratch // scratch for gain queries and overlay merges
+	commn Residual    // reusable residual for Gain, Commit and AddToScenario
 
 	// epoch is a monotone mutation counter: every overlay mutation bumps it
 	// and stamps the touched PoIs in poiEpoch. A GainCache entry walked at
@@ -51,13 +47,11 @@ type scenOverlay struct {
 	extra Coverage
 }
 
-// GainScratch holds the per-caller buffers of a fused gain query. Mint one
-// per goroutine with NewScratch.
-type GainScratch struct {
-	buf   []geo.Arc // residual pieces minus a scenario overlay (profile path)
-	pt    []float64 // per-scenario point-gain accumulators
-	as    []float64 // per-scenario aspect-gain accumulators
-	resid Residual  // scratch residual for the one-shot GainWith path
+// gainScratch holds the buffers of a fused gain query.
+type gainScratch struct {
+	buf []geo.Arc // residual pieces minus a scenario overlay (profile path)
+	pt  []float64 // per-scenario point-gain accumulators
+	as  []float64 // per-scenario aspect-gain accumulators
 }
 
 // Residual is a footprint with the DeltaSet's base coverage subtracted
@@ -111,15 +105,6 @@ func (d *DeltaSet) Base() *State { return d.base }
 // Scenarios returns the number of delivery outcomes tracked.
 func (d *DeltaSet) Scenarios() int { return len(d.scens) }
 
-// NewScratch mints a scratch sized for the current scenario count, for use
-// with GainWith/GainResidual from a dedicated goroutine.
-func (d *DeltaSet) NewScratch() *GainScratch {
-	return &GainScratch{
-		pt: make([]float64, len(d.scens)),
-		as: make([]float64, len(d.scens)),
-	}
-}
-
 // Reserve pre-sizes the scenario list for n outcomes, avoiding growth
 // reallocations during construction.
 func (d *DeltaSet) Reserve(n int) {
@@ -139,7 +124,7 @@ func (d *DeltaSet) AddScenario(w float64) int {
 
 // CompileResidual subtracts the base from the footprint into r, reusing
 // r's storage. Entries the base fully covers are dropped. Read-only on the
-// DeltaSet, so concurrent compilations are safe.
+// DeltaSet.
 func (d *DeltaSet) CompileResidual(fp Footprint, r *Residual) {
 	m := d.base.m
 	r.arcs = r.arcs[:0]
@@ -229,31 +214,19 @@ func (d *DeltaSet) Commit(fp Footprint) {
 }
 
 // Gain returns the scenario-weighted expected marginal gain of the
-// footprint. Serial entry point; see GainWith for the concurrent form and
+// footprint: one base subtraction, fused over all scenarios. See
 // GainResidual for the cached-residual fast path.
 func (d *DeltaSet) Gain(fp Footprint) Coverage {
-	return d.GainWith(fp, &d.sc)
-}
-
-// GainWith is Gain with caller-supplied scratch: one base subtraction,
-// fused over all scenarios. Safe for concurrent callers (one scratch each)
-// as long as no mutation is in flight.
-func (d *DeltaSet) GainWith(fp Footprint, sc *GainScratch) Coverage {
-	d.CompileResidual(fp, &sc.resid)
-	return d.GainResidual(&sc.resid, sc)
-}
-
-// GainCached is GainResidual with the DeltaSet's own serial scratch, for
-// callers that hold a compiled residual but no scratch of their own.
-func (d *DeltaSet) GainCached(r *Residual) Coverage {
-	return d.GainResidual(r, &d.sc)
+	d.CompileResidual(fp, &d.commn)
+	return d.GainResidual(&d.commn)
 }
 
 // GainResidual returns the scenario-weighted expected marginal gain of a
 // compiled residual. This is the CELF inner loop: no geometry runs at all
 // for scenarios whose overlay misses the residual's PoIs — the common case
 // — and the rest subtract only against the (small) overlay.
-func (d *DeltaSet) GainResidual(r *Residual, sc *GainScratch) Coverage {
+func (d *DeltaSet) GainResidual(r *Residual) Coverage {
+	sc := &d.sc
 	n := len(d.scens)
 	if cap(sc.pt) < n {
 		sc.pt = make([]float64, n)
@@ -326,13 +299,7 @@ func (gc *GainCache) Reset() {
 // contributions of clean entries are reused bit-for-bit and the summation
 // order is fixed, the result is identical whether zero or all entries were
 // dirty — incremental equals from-scratch exactly, not approximately.
-//
-// A nil scratch selects the DeltaSet's own serial scratch; concurrent
-// callers must pass their own (and own their GainCache exclusively).
-func (d *DeltaSet) GainResidualCached(r *Residual, gc *GainCache, sc *GainScratch) Coverage {
-	if sc == nil {
-		sc = &d.sc
-	}
+func (d *DeltaSet) GainResidualCached(r *Residual, gc *GainCache) Coverage {
 	n := len(r.entries)
 	fresh := len(gc.epoch) != n
 	if fresh {
@@ -347,7 +314,7 @@ func (d *DeltaSet) GainResidualCached(r *Residual, gc *GainCache, sc *GainScratc
 	for i := range r.entries {
 		re := &r.entries[i]
 		if fresh || d.poiEpoch[re.poi] > gc.epoch[i] {
-			gc.pt[i], gc.as[i] = d.entryGain(re, r.arcs[re.lo:re.hi], sc)
+			gc.pt[i], gc.as[i] = d.entryGain(re, r.arcs[re.lo:re.hi])
 			gc.epoch[i] = d.epoch
 		}
 		g.Point += gc.pt[i]
@@ -360,7 +327,8 @@ func (d *DeltaSet) GainResidualCached(r *Residual, gc *GainCache, sc *GainScratc
 // Σ_si w_si · gain(entry, scenario si). This is the entry-major counterpart
 // of GainResidual's scenario-major accumulation; the two differ only in
 // floating-point association (well below Coverage's comparison epsilon).
-func (d *DeltaSet) entryGain(re *residEntry, pieces []geo.Arc, sc *GainScratch) (pt, as float64) {
+func (d *DeltaSet) entryGain(re *residEntry, pieces []geo.Arc) (pt, as float64) {
+	sc := &d.sc
 	m := d.base.m
 	poi := int(re.poi)
 	prof, hasProf := m.profiles[poi]

@@ -49,7 +49,7 @@ func (a *arcArena) reset() { a.n = 0 }
 //
 // A State is not safe for concurrent mutation. A state that is no longer
 // mutated may be read concurrently (Gain, Coverage, AspectOf, ... are pure
-// reads), which is what the parallel gain scan relies on.
+// reads).
 type State struct {
 	m *Map
 	// arcs is indexed by PoI slot; nil means the PoI is not point-covered.

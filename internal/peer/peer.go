@@ -359,7 +359,9 @@ func New(id model.NodeID, m *coverage.Map, capacity int64, opts ...Option) *Peer
 	p.hResumeRate = p.obsv.Histogram("transfer.resume_rate")
 	p.gInflight = p.obsv.Gauge("peer.contacts_inflight")
 	p.frags = transfer.NewStore(p.transfer.MaxFragmentBytes)
-	p.selCfg.Metrics = selection.ObserverMetrics(p.obsv)
+	if p.obsv != nil {
+		p.selCfg.Metrics = selection.ObserverMetrics(p.obsv)
+	}
 	p.fpc.SetMetrics(p.obsv.Counter("coverage.fp_cache_hits"), p.obsv.Counter("coverage.fp_cache_misses"))
 	p.initGuard()
 	if p.stateDir != "" {

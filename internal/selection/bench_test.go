@@ -165,56 +165,41 @@ func BenchmarkEvaluatorGreedyFill(b *testing.B) {
 // BenchmarkEvaluatorGainStale measures one full stale-recompute storm — an
 // evaluator construction, the initial gain scan, then several commits each
 // followed by a refresh of every candidate (the worst case the CELF loop
-// can hit). "fromscratch" is the pre-incremental machinery: a standalone
-// evaluator re-walking full residuals; "incremental" is the session-backed
-// dirty-PoI path, where a refresh re-walks only entries the commit touched.
+// can hit). "fromscratch" is the reference session re-walking full
+// residuals; "incremental" is the dirty-PoI path, where a refresh re-walks
+// only entries the commit touched.
 func BenchmarkEvaluatorGainStale(b *testing.B) {
 	const rounds = 6
 	for _, sc := range benchScales() {
-		run := func(b *testing.B, s *Session, cfg Config) {
+		run := func(b *testing.B, s *Session) {
 			m, ccFPs, bg, pool := benchInstance(b, sc)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var ev *Evaluator
-				var cands []*cand
-				if s != nil {
-					ev = s.evaluator(m, cfg, ccFPs, bg)
-					s.cands.reset()
-					cands = s.heapItems[:0]
-				} else {
-					ev = NewEvaluator(m, cfg, ccFPs, bg)
-				}
+				ev := s.evaluator(m, sc.cfg, ccFPs, bg)
+				s.cands.reset()
+				cands := s.heapItems[:0]
 				for _, it := range pool {
-					var c *cand
-					if s != nil {
-						c = s.cands.take()
-					} else {
-						c = new(cand)
-					}
+					c := s.cands.take()
 					c.item = it
+					ev.gainCand(c)
 					cands = append(cands, c)
 				}
-				ev.gainBatch(cands)
 				for r := 0; r < rounds; r++ {
 					ev.Commit(cands[r].item.FP)
 					for _, c := range cands {
-						ev.gainCand(c, nil)
+						ev.gainCand(c)
 					}
 				}
-				if s != nil {
-					s.heapItems = cands[:0]
-				}
+				s.heapItems = cands[:0]
 				ev.Release()
 			}
 		}
 		b.Run(sc.name+"/fromscratch", func(b *testing.B) {
-			cfg := sc.cfg
-			cfg.DisableIncremental = true
-			run(b, nil, cfg)
+			run(b, fromScratch())
 		})
 		b.Run(sc.name+"/incremental", func(b *testing.B) {
-			run(b, NewSession(), sc.cfg)
+			run(b, NewSession())
 		})
 	}
 }

@@ -19,7 +19,6 @@ package selection
 
 import (
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"photodtn/internal/coverage"
@@ -63,22 +62,6 @@ type Config struct {
 	// Seed drives scenario sampling; callers should derive it
 	// deterministically (e.g. from the contact) for reproducibility.
 	Seed int64
-	// Parallel opts GreedyFill into the parallel gain scan: candidate gains
-	// are evaluated by a worker pool bounded by GOMAXPROCS, with a
-	// deterministic reduction order — selections are identical to the
-	// serial scan. Off by default: simulation sweeps already parallelise
-	// across runs (sim.RunMany), where an inner pool would oversubscribe.
-	Parallel bool
-	// ParallelThreshold is the minimum number of candidates before workers
-	// engage; below it the serial scan wins. Zero means a sensible default.
-	ParallelThreshold int
-	// DisableIncremental turns off the incremental CELF machinery — dirty-PoI
-	// gain invalidation and zero-gain candidate culling — and re-walks every
-	// candidate residual in full on each refresh, the pre-incremental
-	// behaviour. Selections are identical either way (the incremental path is
-	// exact, not approximate); the switch exists for differential tests and
-	// ablation benchmarks.
-	DisableIncremental bool
 	// Metrics optionally observes the selection machinery; the zero value
 	// disables it at no cost.
 	//
@@ -86,10 +69,6 @@ type Config struct {
 	// fills this field via ObserverMetrics. Direct assignment keeps working.
 	Metrics Metrics
 }
-
-// DefaultParallelThreshold is the candidate-pool size below which the
-// parallel gain scan falls back to the serial path.
-const DefaultParallelThreshold = 32
 
 // DefaultConfig returns evaluation parameters that keep per-contact cost
 // low while leaving ranking quality indistinguishable from exact in
@@ -104,9 +83,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Samples <= 0 {
 		c.Samples = 24
-	}
-	if c.ParallelThreshold <= 0 {
-		c.ParallelThreshold = DefaultParallelThreshold
 	}
 	return c
 }
@@ -131,33 +107,27 @@ type bgNode struct {
 // background of probabilistic nodes plus the command center's own
 // collection (which is always "delivered", b_0 = 1).
 type Evaluator struct {
-	m  *coverage.Map
-	ds *coverage.DeltaSet
-	// sess, when non-nil, supplies recycled arenas (candidates, heaps,
-	// residuals) and marks the evaluator itself as session-owned: Release
-	// then keeps the DeltaSet shell alive for the next contact's Reuse.
-	sess *Session
-
-	noIncremental bool
-	parallel      bool
-	threshold     int
-	metrics       Metrics
+	// ds is the scenario family; Release keeps its shell for the session's
+	// next Reuse.
+	ds coverage.DeltaSet
+	// sess owns the evaluator and supplies its recycled arenas (candidates,
+	// heaps, residuals).
+	sess    *Session
+	metrics Metrics
 }
 
-// NewEvaluator builds a standalone evaluator. ccFPs are the footprints of
-// the photos already at the command center; background holds the other nodes
-// of M with their delivery probabilities and the footprints of their photos.
-// Contact-rate callers should prefer a Session, which recycles everything an
-// evaluator allocates.
+// NewEvaluator builds an evaluator on a fresh Session. ccFPs are the
+// footprints of the photos already at the command center; background holds
+// the other nodes of M with their delivery probabilities and the footprints
+// of their photos. Contact-rate callers should keep one Session instead,
+// which recycles everything an evaluator allocates.
 func NewEvaluator(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, background []bgNode) *Evaluator {
-	ev := &Evaluator{ds: &coverage.DeltaSet{}}
-	ev.init(m, cfg, ccFPs, background, nil)
-	return ev
+	return NewSession().evaluator(m, cfg, ccFPs, background)
 }
 
-// init (re)builds the evaluator in place. e.ds must point at a DeltaSet
-// shell (possibly released); sess may be nil for standalone use.
-func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, background []bgNode, sess *Session) {
+// init (re)builds the evaluator in place on its DeltaSet shell (possibly
+// released).
+func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, background []bgNode) {
 	cfg = cfg.normalized()
 	base := m.AcquireState()
 	for _, fp := range ccFPs {
@@ -165,12 +135,7 @@ func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint
 	}
 	// Nodes that deliver surely belong in the base; nodes that never
 	// deliver or have no useful photos can be dropped.
-	var live []bgNode
-	if sess != nil {
-		live = sess.live[:0]
-	} else {
-		live = make([]bgNode, 0, len(background))
-	}
+	live := e.sess.live[:0]
 	for _, b := range background {
 		if len(b.fps) == 0 || b.p <= 0 {
 			continue
@@ -183,67 +148,46 @@ func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint
 		}
 		live = append(live, b)
 	}
-	e.m = m
 	e.ds.Reuse(base)
-	e.sess = sess
-	e.noIncremental = cfg.DisableIncremental
-	e.parallel = cfg.Parallel
-	e.threshold = cfg.ParallelThreshold
 	e.metrics = cfg.Metrics
 	if len(live) <= cfg.ExactLimit {
 		e.enumerate(live)
 	} else {
 		e.sample(live, cfg)
 	}
-	if sess != nil {
-		sess.live = live[:0] // return the (possibly grown) buffer
-	}
+	e.sess.live = live[:0] // return the (possibly grown) buffer
 	e.metrics.Evaluators.Inc()
 	e.metrics.Scenarios.Observe(float64(e.ds.Scenarios()))
 }
 
 // compileLive subtracts the (now final) base from every live node's
 // footprints once; scenario construction then replays the cheap residuals
-// instead of re-subtracting the base per outcome. With a session, the
-// residuals and the index come from its arenas — compiled arc and entry
-// storage survives from contact to contact.
+// instead of re-subtracting the base per outcome. The residuals and the
+// index come from the session's arenas — compiled arc and entry storage
+// survives from contact to contact.
 func (e *Evaluator) compileLive(live []bgNode) [][]coverage.Residual {
 	total := 0
 	for _, b := range live {
 		total += len(b.fps)
 	}
-	var flat []coverage.Residual
-	var resid [][]coverage.Residual
-	if s := e.sess; s != nil {
-		if len(s.residFlat) < total {
-			grown := make([]coverage.Residual, total)
-			copy(grown, s.residFlat) // keep the recycled piece storage
-			s.residFlat = grown
-		}
-		flat = s.residFlat[:total]
-		resid = s.residIdx[:0]
-	} else {
-		flat = make([]coverage.Residual, total)
+	s := e.sess
+	if len(s.residFlat) < total {
+		grown := make([]coverage.Residual, total)
+		copy(grown, s.residFlat) // keep the recycled piece storage
+		s.residFlat = grown
 	}
+	flat := s.residFlat[:total]
+	resid := s.residIdx[:0]
 	k := 0
-	for i, b := range live {
+	for _, b := range live {
 		sub := flat[k : k+len(b.fps) : k+len(b.fps)]
 		k += len(b.fps)
 		for j, fp := range b.fps {
 			e.ds.CompileResidual(fp, &sub[j])
 		}
-		if e.sess != nil {
-			resid = append(resid, sub)
-		} else {
-			if resid == nil {
-				resid = make([][]coverage.Residual, len(live))
-			}
-			resid[i] = sub
-		}
+		resid = append(resid, sub)
 	}
-	if e.sess != nil {
-		e.sess.residIdx = resid[:0]
-	}
+	s.residIdx = resid[:0]
 	return resid
 }
 
@@ -304,12 +248,6 @@ func (e *Evaluator) Gain(fp coverage.Footprint) coverage.Coverage {
 	return e.ds.Gain(fp)
 }
 
-// gainWith is Gain with caller-supplied scratch; the parallel scan gives
-// each worker its own scratch and calls this concurrently (reads only).
-func (e *Evaluator) gainWith(fp coverage.Footprint, sc *coverage.GainScratch) coverage.Coverage {
-	return e.ds.GainWith(fp, sc)
-}
-
 // Commit adds the footprint to every scenario: the target node now holds
 // the photo in all outcomes where it delivers (which, within one selection
 // phase, is the conditional world Gain already lives in).
@@ -325,40 +263,18 @@ func (e *Evaluator) Expected() coverage.Coverage {
 
 // Scenarios returns the number of delivery outcomes the evaluator tracks.
 func (e *Evaluator) Scenarios() int {
-	if e.ds == nil {
-		return 0
-	}
 	return e.ds.Scenarios()
 }
 
 // Release returns the evaluator's pooled coverage states to the map for
 // reuse by later contacts. Optional — skipping it only forfeits recycling —
-// but the evaluator must not be used afterwards. Session-owned evaluators
-// keep their DeltaSet shell so the next contact can revive it with Reuse.
+// but the evaluator must not be used afterwards. The DeltaSet shell stays
+// with the session, so its next evaluator revives it with Reuse.
 func (e *Evaluator) Release() {
-	if e.ds == nil || e.ds.Base() == nil {
+	if e.ds.Base() == nil {
 		return
 	}
 	e.ds.Release()
-	if e.sess == nil {
-		e.ds = nil
-	}
-}
-
-// workers returns the parallel fan-out for n independent gain queries, or
-// 0 when the serial path should be used.
-func (e *Evaluator) workers(n int) int {
-	if !e.parallel || n < e.threshold {
-		return 0
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		return 0
-	}
-	return w
 }
 
 // footprintsOf compiles the useful (non-empty) footprints of a collection

@@ -19,6 +19,14 @@ import (
 // so the tolerance is far below diffEps — near machine precision.
 const incEps = 1e-12
 
+// fromScratch returns a session running the reference path: no dirty-PoI
+// gain caches and no zero-gain culling, every refresh a full residual walk.
+func fromScratch() *Session {
+	s := NewSession()
+	s.fromScratch = true
+	return s
+}
+
 // TestIncrementalGainMatchesFromScratch drives ≥200 random commit sequences
 // and, after every commit, checks a sample of incrementally-maintained
 // candidate gains against an uncached full residual walk on the same
@@ -40,14 +48,14 @@ func TestIncrementalGainMatchesFromScratch(t *testing.T) {
 			// Warm a random subset so some caches are stale across several
 			// commits (the dirty intersection accumulates), others fresh.
 			for _, i := range rng.Perm(len(cands))[:len(cands)/2] {
-				ev.gainCand(cands[i], nil)
+				ev.gainCand(cands[i])
 			}
 			for step := 0; step < 6; step++ {
 				ev.Commit(pool[rng.Intn(len(pool))].FP)
 				for k := 0; k < 8; k++ {
 					c := cands[rng.Intn(len(cands))]
-					ev.gainCand(c, nil) // incremental: dirty entries only
-					want := ev.ds.GainCached(&c.resid)
+					ev.gainCand(c) // incremental: dirty entries only
+					want := ev.ds.GainResidual(&c.resid)
 					if !covClose(c.gain, want, incEps) {
 						t.Fatalf("%s seq %d step %d: incremental %+v, from-scratch %+v",
 							sc.name, seq, step, c.gain, want)
@@ -63,26 +71,24 @@ func TestIncrementalGainMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestGreedyFillIncrementalMatchesDisabled pins selections bit-identical
+// TestGreedyFillIncrementalMatchesFromScratch pins selections bit-identical
 // between the incremental path (dirty-PoI caches + zero-gain culling) and
-// the pre-incremental full-rewalk path, with and without a session.
-func TestGreedyFillIncrementalMatchesDisabled(t *testing.T) {
-	s := NewSession()
+// the from-scratch reference, on a fresh evaluator and on a reused session.
+func TestGreedyFillIncrementalMatchesFromScratch(t *testing.T) {
+	ref, s := fromScratch(), NewSession()
 	for _, sc := range benchScales() {
 		m, ccFPs, bg, pool := benchInstance(t, sc)
 		for _, frac := range []int{6, 3, 1} {
 			capacity := int64(max(3, len(pool)/frac)) * (4 << 20)
 
-			offCfg := sc.cfg
-			offCfg.DisableIncremental = true
-			evOff := NewEvaluator(m, offCfg, ccFPs, bg)
-			want := GreedyFill(evOff, pool, capacity)
-			evOff.Release()
+			evRef := ref.evaluator(m, sc.cfg, ccFPs, bg)
+			want := GreedyFill(evRef, pool, capacity)
+			evRef.Release()
 
 			evOn := NewEvaluator(m, sc.cfg, ccFPs, bg)
 			got := GreedyFill(evOn, pool, capacity)
 			evOn.Release()
-			assertSameSelection(t, sc.name+"/standalone", want, got)
+			assertSameSelection(t, sc.name+"/fresh", want, got)
 
 			evSess := s.evaluator(m, sc.cfg, ccFPs, bg)
 			got = GreedyFill(evSess, pool, capacity)
@@ -92,11 +98,11 @@ func TestGreedyFillIncrementalMatchesDisabled(t *testing.T) {
 	}
 }
 
-// TestSessionReallocateMatchesStandalone checks the full two-phase
+// TestSessionReallocateMatchesReference checks the full two-phase
 // reallocation: a session reused across repeated contacts must reproduce the
-// package-level (pre-incremental) result exactly, with no state leaking
-// between contacts.
-func TestSessionReallocateMatchesStandalone(t *testing.T) {
+// from-scratch reference result exactly, with no state leaking between
+// contacts.
+func TestSessionReallocateMatchesReference(t *testing.T) {
 	sc := benchScales()[1]
 	m, _, _, pool := benchInstance(t, sc)
 	fpc := coverage.NewFootprintCache(m)
@@ -118,9 +124,7 @@ func TestSessionReallocateMatchesStandalone(t *testing.T) {
 	a := Alloc{Node: 1, P: 0.6, Capacity: capacity, Photos: photos[n/2 : 4*n/5]}
 	b := Alloc{Node: 2, P: 0.35, Capacity: capacity, Photos: photos[7*n/10:]}
 
-	offCfg := sc.cfg
-	offCfg.DisableIncremental = true
-	want := Reallocate(fpc, offCfg, cc, background, a, b)
+	want := fromScratch().Reallocate(fpc, sc.cfg, cc, background, a, b)
 
 	s := NewSession()
 	for trial := 0; trial < 3; trial++ {
@@ -132,7 +136,7 @@ func TestSessionReallocateMatchesStandalone(t *testing.T) {
 		assertSameSelection(t, "BSel", want.BSel, got.BSel)
 	}
 
-	wantUp := SelectForUpload(fpc, offCfg, cc, a.Photos)
+	wantUp := fromScratch().SelectForUpload(fpc, sc.cfg, cc, a.Photos)
 	for trial := 0; trial < 3; trial++ {
 		gotUp := s.SelectForUpload(fpc, sc.cfg, cc, a.Photos)
 		assertSameSelection(t, "upload", wantUp, gotUp)
@@ -142,32 +146,37 @@ func TestSessionReallocateMatchesStandalone(t *testing.T) {
 // TestZeroGainCulling: candidates fully covered by the base must never be
 // selected, and selections with culling on equal the full-heap behaviour.
 func TestZeroGainCulling(t *testing.T) {
-	m, photos := exactInstance(t)
+	sc := benchScales()[1]
+	m, _, bg, pool := benchInstance(t, sc)
 	fpc := coverage.NewFootprintCache(m)
+	var photos model.PhotoList
+	for _, it := range pool {
+		photos = append(photos, it.Photo)
+	}
+	capacity := photos.TotalSize()
 	// The command center already holds every pool photo: all gains are
 	// identically zero and nothing may be selected by either path.
-	ccFPs := footprintsOf(fpc, photos)
-	pool := BuildPool(fpc, photos)
-	cfg := Config{ExactLimit: 5, Samples: 16, Seed: 1}
-
-	ev := NewEvaluator(m, cfg, ccFPs, nil)
-	sel := GreedyFill(ev, pool, model.PhotoList(photos).TotalSize())
+	ev := NewEvaluator(m, sc.cfg, footprintsOf(fpc, photos), nil)
+	sel := GreedyFill(ev, pool, capacity)
 	ev.Release()
 	if len(sel) != 0 {
 		t.Fatalf("selected %d photos with all-zero gains", len(sel))
 	}
 
-	// Partial overlap: only the uncovered photos are pickable; culling must
-	// not change the outcome relative to the disabled path.
-	ccFPs = footprintsOf(fpc, photos[:len(photos)/2])
-	offCfg := cfg
-	offCfg.DisableIncremental = true
-	evOff := NewEvaluator(m, offCfg, ccFPs, nil)
-	want := GreedyFill(evOff, pool, model.PhotoList(photos).TotalSize())
-	evOff.Release()
-	evOn := NewEvaluator(m, cfg, ccFPs, nil)
-	got := GreedyFill(evOn, pool, model.PhotoList(photos).TotalSize())
+	// Partial overlap: half the pool starts at zero gain and is culled up
+	// front; the rest overlap one another, so commits keep moving their
+	// gains. Culling must not change the outcome relative to the reference
+	// path.
+	ccFPs := footprintsOf(fpc, photos[:len(photos)/2])
+	evRef := fromScratch().evaluator(m, sc.cfg, ccFPs, bg)
+	want := GreedyFill(evRef, pool, capacity)
+	evRef.Release()
+	evOn := NewEvaluator(m, sc.cfg, ccFPs, bg)
+	got := GreedyFill(evOn, pool, capacity)
 	evOn.Release()
+	if len(want) == 0 {
+		t.Fatal("reference selected nothing")
+	}
 	assertSameSelection(t, "partial-overlap", want, got)
 }
 

@@ -18,8 +18,7 @@ import (
 // Lifecycle and ownership rules:
 //
 //   - One Session serves one scheme instance (or one goroutine): its methods
-//     must not be called concurrently. The parallel gain scan inside
-//     GreedyFill is fine — workers only touch per-candidate state.
+//     must not be called concurrently.
 //   - Slices returned by Session.BuildPool alias the arena and are valid
 //     only until the session's next call; GreedyFill's selected lists are
 //     freshly allocated and safe to retain.
@@ -32,8 +31,7 @@ import (
 // recompiled per contact, so one session may serve contacts against
 // different coverage maps.
 type Session struct {
-	ev Evaluator         // reusable evaluator shell
-	ds coverage.DeltaSet // its scenario family, revived per contact via Reuse
+	ev Evaluator // reusable evaluator shell, revived per contact via Reuse
 
 	seen      map[model.PhotoID]bool // BuildPool dedup scratch
 	pool      []Item
@@ -44,13 +42,18 @@ type Session struct {
 	residIdx  [][]coverage.Residual
 	cands     candArena
 	heapItems []*cand
-	stale     []*cand
+
+	// fromScratch switches off the incremental CELF machinery — dirty-PoI
+	// gain invalidation and zero-gain culling — and re-walks every candidate
+	// residual in full on each refresh. Selections are identical either way;
+	// the tests set it to get the reference the incremental path must match.
+	fromScratch bool
 }
 
 // NewSession returns an empty session ready for use.
 func NewSession() *Session {
 	s := &Session{seen: make(map[model.PhotoID]bool)}
-	s.ev.ds = &s.ds
+	s.ev.sess = s
 	return s
 }
 
@@ -71,9 +74,8 @@ func (s *Session) Release() {
 // phase; the caller must Release it (which keeps the shell for reuse)
 // before requesting the next one.
 func (s *Session) evaluator(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, bg []bgNode) *Evaluator {
-	e := &s.ev
-	e.init(m, cfg, ccFPs, bg, s)
-	return e
+	s.ev.init(m, cfg, ccFPs, bg)
+	return &s.ev
 }
 
 // footprints compiles the useful footprints of a collection into the

@@ -75,12 +75,6 @@ type Config struct {
 	// clock skew. Nil or a zero-valued config is a strict no-op — the run
 	// is bit-identical to one without the fault layer.
 	Faults *faults.Config
-	// ParallelSelection opts schemes into the parallel gain scan during
-	// per-contact photo selection (selection.Config.Parallel). Results are
-	// bit-identical to the serial scan; it pays off when a single run is
-	// latency-critical (sweeps already parallelise across runs, where the
-	// inner pool would only oversubscribe).
-	ParallelSelection bool
 	// FragmentCarryover opts the run into wire-v2-style resumable transfer
 	// accounting: a transfer the contact budget cuts short leaves its sent
 	// bytes as a fragment at the receiver, and a later contact — with the
@@ -238,7 +232,6 @@ func RunContext(ctx context.Context, cfg Config, scheme Scheme) (*Result, error)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := newWorld(cfg.Map, cfg.Trace.Nodes, capacity, rng)
 	w.ctx = ctx
-	w.ParallelSelection = cfg.ParallelSelection
 	if cfg.FragmentCarryover {
 		w.carry = make(map[carryKey]int64)
 	}

@@ -45,10 +45,6 @@ type World struct {
 	cAborts     *obs.Counter
 	cCrashes    *obs.Counter
 
-	// ParallelSelection mirrors Config.ParallelSelection for schemes to pick
-	// up in Init (schemes see only the World, not the engine Config).
-	ParallelSelection bool
-
 	// Aggregate transfer statistics.
 	transferredBytes  int64
 	transferredPhotos int64

@@ -139,6 +139,15 @@ func TestFacadeLivePeers(t *testing.T) {
 	if err := node.AddPhoto(facadePhoto(1, 0, photodtn.Vec{X: 80, Y: 0}, 180)); err != nil {
 		t.Fatal(err)
 	}
+	facadeContact(t, cc, node)
+	if len(cc.Photos()) != 1 {
+		t.Fatalf("CC photos = %d", len(cc.Photos()))
+	}
+}
+
+// facadeContact runs one contact from node to cc over loopback TCP.
+func facadeContact(t *testing.T, cc, node *photodtn.Peer) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +156,6 @@ func TestFacadeLivePeers(t *testing.T) {
 	go func() { done <- cc.Serve(l) }()
 	if err := node.Contact(l.Addr().String()); err != nil {
 		t.Fatal(err)
-	}
-	if len(cc.Photos()) != 1 {
-		t.Fatalf("CC photos = %d", len(cc.Photos()))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -209,23 +215,33 @@ func TestFacadeUnifiedObserver(t *testing.T) {
 	if err := node.AddPhoto(facadePhoto(1, 0, photodtn.Vec{X: 80, Y: 0}, 180)); err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cc.Serve(l) }()
-	if err := node.Contact(l.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	facadeContact(t, cc, node)
 	if o.Counter("peer.contacts").Value() == 0 {
 		t.Fatal("peer layer did not report into the unified observer")
+	}
+
+	// A selection config built with the option keeps its observer when a
+	// layer that has no observer of its own runs it: the framework scheme
+	// in a simulation, and a peer given WithSelectionConfig.
+	fo := photodtn.NewObserver(0, nil)
+	fw := photodtn.DefaultFrameworkConfig()
+	fw.Selection = photodtn.DefaultSelectionConfig(photodtn.WithObserver(fo))
+	if _, err := photodtn.RunSimulation(facadeSimConfig(t), photodtn.NewFramework(fw)); err != nil {
+		t.Fatal(err)
+	}
+	if fo.Counter("selection.evaluators").Value() == 0 {
+		t.Fatal("framework scheme dropped the observer of its selection config")
+	}
+	po := photodtn.NewObserver(0, nil)
+	selOpt := photodtn.WithSelectionConfig(photodtn.DefaultSelectionConfig(photodtn.WithObserver(po)))
+	cc = photodtn.NewPeer(photodtn.CommandCenter, m, 0, photodtn.WithClock(tick), photodtn.WithSeed(1))
+	node = photodtn.NewPeer(1, m, 40<<20, selOpt, photodtn.WithClock(tick), photodtn.WithSeed(2))
+	if err := node.AddPhoto(facadePhoto(1, 0, photodtn.Vec{X: 80, Y: 0}, 180)); err != nil {
+		t.Fatal(err)
+	}
+	facadeContact(t, cc, node)
+	if po.Counter("selection.evaluators").Value() == 0 {
+		t.Fatal("peer dropped the observer of its selection config")
 	}
 }
 
@@ -249,21 +265,7 @@ func TestFacadeUnifiedTransfer(t *testing.T) {
 	if err := node.AddPhoto(facadePhoto(1, 0, photodtn.Vec{X: 80, Y: 0}, 180)); err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cc.Serve(l) }()
-	if err := node.Contact(l.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	facadeContact(t, cc, node)
 	if len(cc.Photos()) != 1 {
 		t.Fatalf("CC photos = %d", len(cc.Photos()))
 	}
